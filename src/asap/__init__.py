@@ -25,13 +25,12 @@ from .search import (
 )
 from .series import Series
 from .smoothing import SmoothParams, sma, smooth_series
-from .stream import Pane, StreamState
+from .stream import StreamState
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcfProfile",
-    "Pane",
     "PixelPlan",
     "STRATEGIES",
     "SearchConfig",

@@ -57,19 +57,13 @@ def find_peaks(
     treats as "no periodicity evidence".
     """
     c = np.asarray(correlations, dtype=np.float64)
-    peaks: list[int] = []
-    last = c.size - 1
-    i = 1
-    while i < last:
-        if c[i] > c[i - 1]:
-            j = i
-            while j < last and c[j + 1] == c[i]:
-                j += 1
-            if j < last and c[j + 1] < c[i]:
-                if i >= min_lag and c[i] > threshold:
-                    peaks.append(i)
-            i = j + 1
-        else:
-            i += 1
-    max_acf = max((float(c[p]) for p in peaks), default=0.0)
-    return AcfProfile(correlations=c, peaks=tuple(peaks), max_acf=max_acf)
+    # Lags where a new run of equal values begins. A run starting at s and
+    # ending just before the next run start e is a peak when it rises from
+    # c[s - 1] and falls to c[e]; the first and last runs touch an edge.
+    runs = np.flatnonzero(c[1:] != c[:-1]) + 1
+    starts, ends = runs[:-1], runs[1:]
+    level = c[starts]
+    peaks = starts[(level > c[starts - 1]) & (c[ends] < level)]
+    peaks = peaks[(peaks >= min_lag) & (c[peaks] > threshold)]
+    max_acf = float(c[peaks].max()) if peaks.size else 0.0
+    return AcfProfile(correlations=c, peaks=tuple(peaks.tolist()), max_acf=max_acf)

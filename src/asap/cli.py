@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--resolution", type=int, default=800, help="pane capacity")
     stream.add_argument("--ratio", type=int, default=None, help="points per pane")
     stream.add_argument("--max-window", type=int, default=None, dest="max_window")
-    stream.add_argument("--strict", action="store_true", help="abort on out-of-order rows")
+    stream.add_argument("--strict", action="store_true", help="abort on out-of-order or non-finite rows")
 
     bench = sub.add_parser("bench", help="compare every strategy on one input")
     source = bench.add_mutually_exclusive_group(required=True)

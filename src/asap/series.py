@@ -20,9 +20,10 @@ class Series:
             raise ValueError("timestamps and values must be one-dimensional")
         if ts.size != vals.size:
             raise ValueError("timestamps and values must have equal length")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        if ts.size > 1 and np.any(np.diff(ts) < 0):
+        # Compared, not differenced: an int64 difference can wrap around.
+        if (ts[1:] < ts[:-1]).any():
             raise ValueError("timestamps must be non-decreasing")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)

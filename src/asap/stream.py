@@ -1,16 +1,18 @@
 """Streaming ingestion over fixed-size panes with periodic window refresh.
 
 Arriving points accumulate into panes of pane_span points (the point-to-pixel
-ratio, one pane per output pixel). Sealed panes live in a ring buffer of
-`capacity` panes, so memory stays O(capacity) no matter how long the stream
-runs. Every refresh_interval sealed panes the pane means are searched again;
-the previous window seeds that search when it is still feasible, which lets
-the estimate-based pruning engage immediately.
+ratio, one pane per output pixel). A pane is a running sum and its start
+timestamp; sealed panes live in a ring buffer of two preallocated arrays
+(sums and start timestamps) holding the newest `capacity` panes, so memory
+stays O(capacity) no matter how long the stream runs, and the pane means are
+one slice-and-divide away at refresh time.
+Every refresh_interval sealed panes the pane means are searched again; the
+previous window seeds that search when it is still feasible, which lets the
+estimate-based pruning engage immediately.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -21,19 +23,6 @@ from .series import Series
 from .smoothing import sma
 
 MIN_PANES_FOR_SEARCH = 4
-
-
-@dataclass
-class Pane:
-    """Running sum over one pane; mean is materialized only at refresh time."""
-
-    sum: float = 0.0
-    count: int = 0
-    start_ts: int = 0
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count
 
 
 class StreamState:
@@ -56,35 +45,52 @@ class StreamState:
         self.capacity = capacity
         self.refresh_interval = refresh_interval
         self.config = config  # None means size max_window from the data at each refresh
-        self.panes: deque[Pane] = deque(maxlen=capacity)
+        # Sealed pane i (counting from the first) sits in slot i % capacity
+        # and again in slot i % capacity + capacity, so the newest `capacity`
+        # panes are always one contiguous slice, oldest first.
+        self.sums = np.zeros(2 * capacity, dtype=np.float64)
+        self.starts = np.zeros(2 * capacity, dtype=np.int64)
+        self.sealed = 0
         self.panes_since_refresh = 0
         self.last_result: SmoothResult | None = None
-        self._open = Pane()
-        self._last_ts: int | None = None
+        # The open pane: sum accumulates 0.0 + v1 + v2 ... in arrival order.
+        self._open_sum = 0.0
+        self._open_count = 0
+        self._open_start = 0
+        self._last_ts = -(2**63)  # the int64 floor: pane starts are stored as int64
 
     def ingest(self, t: int, v: float) -> None:
         """Add one point; seals the open pane when it reaches pane_span points.
 
-        Raises ValueError on out-of-order timestamps (equal timestamps pass).
+        Raises ValueError on a non-finite value, a timestamp outside int64 or
+        an out-of-order one (equal timestamps pass); a rejected point leaves
+        the state unchanged.
         """
-        if self._last_ts is not None and t < self._last_ts:
-            raise ValueError(f"out-of-order point: {t} after {self._last_ts}")
+        if not isfinite(v):
+            raise ValueError(f"non-finite value {v!r}")
+        if not self._last_ts <= t < 2**63:
+            if -(2**63) <= t < 2**63:
+                raise ValueError(f"out-of-order point: {t} after {self._last_ts}")
+            raise ValueError(f"timestamp {t} outside the int64 range")
         self._last_ts = t
-        pane = self._open
-        if pane.count == 0:
-            pane.start_ts = t
-        pane.sum += v
-        pane.count += 1
-        if pane.count >= self.pane_span:
-            self.panes.append(pane)
-            self._open = Pane()
+        if self._open_count == 0:
+            self._open_start = t
+        self._open_sum += v
+        self._open_count += 1
+        if self._open_count == self.pane_span:
+            slot = self.sealed % self.capacity
+            self.sums[slot] = self.sums[slot + self.capacity] = self._open_sum
+            self.starts[slot] = self.starts[slot + self.capacity] = self._open_start
+            self.sealed += 1
             self.panes_since_refresh += 1
+            self._open_sum = 0.0
+            self._open_count = 0
 
     def aggregated(self) -> Series:
-        """Pane means as a Series (sealed panes only)."""
-        ts = np.fromiter((p.start_ts for p in self.panes), dtype=np.int64, count=len(self.panes))
-        sums = np.fromiter((p.sum for p in self.panes), dtype=np.float64, count=len(self.panes))
-        return Series(ts, sums / self.pane_span)
+        """Pane means as a Series, oldest first (sealed panes only)."""
+        n = min(self.sealed, self.capacity)
+        lo = (self.sealed - n) % self.capacity
+        return Series(self.starts[lo : lo + n].copy(), self.sums[lo : lo + n] / self.pane_span)
 
     def check_last_window(self, aggregated: Series, profile: AcfProfile | None = None) -> SearchState:
         """Seed state for the next search: the previous window with its true
@@ -119,7 +125,7 @@ class StreamState:
         """
         if self.panes_since_refresh < self.refresh_interval:
             return None
-        if len(self.panes) < MIN_PANES_FOR_SEARCH:
+        if min(self.sealed, self.capacity) < MIN_PANES_FOR_SEARCH:
             return None
         aggregated = self.aggregated()
         x = aggregated.values

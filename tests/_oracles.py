@@ -16,6 +16,46 @@ def direct_acf(values, max_lag: int) -> np.ndarray:
     return np.array([float(np.dot(d[: n - t], d[t:])) / denom for t in range(max_lag + 1)])
 
 
+def population_std_np(values) -> float:
+    """Population std through np.mean, the formulation metrics must equal bit for bit."""
+    x = np.asarray(values, dtype=np.float64)
+    dev = x - np.mean(x)
+    return float(np.sqrt(np.mean(dev * dev)))
+
+
+def roughness_np(values) -> float:
+    return population_std_np(np.diff(np.asarray(values, dtype=np.float64)))
+
+
+def kurtosis_np(values) -> float:
+    x = np.asarray(values, dtype=np.float64)
+    dev = x - np.mean(x)
+    sq = dev * dev
+    m2 = float(np.mean(sq))
+    return float(np.mean(sq * sq)) / (m2 * m2)
+
+
+def find_peaks_loop(correlations, min_lag: int, threshold: float) -> tuple[tuple[int, ...], float]:
+    """(peaks, max_acf) by walking the lags: strict interior maxima, a plateau
+    counted once at its left edge, then min_lag and threshold applied."""
+    c = np.asarray(correlations, dtype=np.float64)
+    peaks: list[int] = []
+    last = c.size - 1
+    i = 1
+    while i < last:
+        if c[i] > c[i - 1]:
+            j = i
+            while j < last and c[j + 1] == c[i]:
+                j += 1
+            if j < last and c[j + 1] < c[i]:
+                if i >= min_lag and c[i] > threshold:
+                    peaks.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return tuple(peaks), max((float(c[p]) for p in peaks), default=0.0)
+
+
 def sma_loop(values, window: int, slide: int = 1) -> np.ndarray:
     """Windowed means via an explicit python loop."""
     x = np.asarray(values, dtype=np.float64)

@@ -6,6 +6,7 @@ expected value is either closed form or cross-checked against the exhaustive
 scan / direct-sum oracles also used by the module tests.
 """
 import math
+import statistics
 import time
 
 import numpy as np
@@ -246,14 +247,17 @@ def test_criterion_08_refresh_interval_scales_throughput(capsys):
     vs = series.values.tolist()
 
     def rate(interval):
+        # CPU time of this process, so stalls caused by other processes on a
+        # shared machine do not land on one side of the ratio.
         st = StreamState(pane_span=100, capacity=1200, refresh_interval=interval)
-        started = time.perf_counter()
+        started = time.process_time()
         for t, v in zip(ts, vs):
             st.ingest(t, v)
             st.maybe_refresh()
-        return len(vs) / (time.perf_counter() - started)
+        return len(vs) / (time.process_time() - started)
 
-    ratio = rate(4) / rate(2)
+    # Median of three interleaved pairs: one slow stretch moves one pair only.
+    ratio = statistics.median(rate(4) / rate(2) for _ in range(3))
     ok = 1.5 <= ratio <= 2.5
     _report(
         capsys, 8, ok,

@@ -1,8 +1,10 @@
 """Autocorrelation: FFT route against the direct-sum oracle, plus peak picking."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import direct_acf
+from _oracles import direct_acf, find_peaks_loop
 from asap.acf import AcfProfile, autocorrelation, find_peaks
 
 
@@ -96,6 +98,21 @@ def test_find_peaks_ignores_edges():
     # Monotone rise into the last lag has no right neighbour: not a peak.
     assert find_peaks(np.array([1.0, 0.1, 0.2, 0.3])).peaks == ()
     assert find_peaks(np.array([1.0, 0.5, 0.3, 0.2])).peaks == ()
+
+
+@settings(derandomize=True, max_examples=400)
+@given(
+    values=st.lists(st.floats(-1.5, 1.5), min_size=0, max_size=64),
+    decimals=st.integers(0, 2),
+    min_lag=st.integers(0, 3),
+    threshold=st.floats(-1.0, 1.0),
+)
+def test_find_peaks_matches_the_loop_oracle(values, decimals, min_lag, threshold):
+    # Rounding to few decimals makes plateaus and ties common.
+    c = np.round(np.asarray(values, dtype=np.float64), decimals)
+    profile = find_peaks(c, min_lag=min_lag, threshold=threshold)
+    assert (profile.peaks, profile.max_acf) == find_peaks_loop(c, min_lag, threshold)
+    assert all(type(p) is int for p in profile.peaks)
 
 
 def test_find_peaks_on_periodic_signal():

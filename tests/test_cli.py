@@ -211,6 +211,32 @@ def test_stream_out_of_order_default_drops_and_continues(tmp_path, capsys):
     assert "(4 points, 1 refreshes)" in err
 
 
+# Line 4 holds a nan value, line 7 a timestamp beyond int64.
+BAD_ROWS_FEED = "timestamp,value\n" + "".join(
+    f"{10**23 if i == 6 else i},{'nan' if i == 3 else i % 3}\n" for i in range(1, 12)
+)
+
+
+def test_stream_non_finite_value_default_drops_and_continues(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(BAD_ROWS_FEED))
+    code, out, err = run_cli(["stream", "--stdin", "--ratio", "1", "--refresh", "2"], capsys)
+    assert code == EXIT_OK
+    assert "warning: line 4: dropped (non-finite value nan)" in err
+    assert "warning: line 7: dropped (timestamp 100000000000000000000000 outside the int64 range)" in err
+    assert "(9 points, " in err
+    assert out.strip()  # the stream kept refreshing after the bad row
+
+
+def test_stream_non_finite_value_strict_aborts(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(BAD_ROWS_FEED))
+    code, out, err = run_cli(
+        ["stream", "--stdin", "--ratio", "1", "--refresh", "2", "--strict"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert "error: line 4: non-finite value nan" in err
+    assert out == ""
+
+
 def test_bench_table_lists_every_strategy(capsys):
     code, out, _ = run_cli(
         ["bench", "--gen", "sine", "--gen-points", "4000", "--resolution", "400"], capsys

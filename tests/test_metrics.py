@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from asap.metrics import first_differences, kurtosis, population_std, roughness, zscore
 from asap.series import Series
 
+from _oracles import kurtosis_np, population_std_np, roughness_np
+
 # Hand-computed: values [1, -1, 1], mean 1/3, squared deviations
 # (4/9, 16/9, 4/9), variance 8/9, std sqrt(8/9).
 STD_1_M1_1 = 0.9428090415820634
@@ -96,6 +98,34 @@ def test_roughness_scales_with_amplitude(values, scale, shift):
     assert roughness(scale * x + shift) == pytest.approx(scale * base, rel=1e-9, abs=1e-9)
 
 
+@settings(derandomize=True, max_examples=200)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300),
+    scale=st.floats(1e-3, 1e3),
+    shift=st.floats(-1e4, 1e4),
+)
+def test_moments_equal_the_np_mean_formulation_exactly(values, scale, shift):
+    for x in (np.asarray(values), scale * np.asarray(values) + shift):
+        assert population_std(x) == population_std_np(x)
+        assert roughness(x) == roughness_np(x)
+        if population_std(x) > 1e-100:  # m2 * m2 underflows below this spread
+            assert kurtosis(x) == kurtosis_np(x)
+
+
+def test_moments_equal_the_np_mean_formulation_on_long_inputs():
+    # Long enough for numpy's pairwise summation to split into blocks.
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 128, 129, 1000, 4099, 100_000):
+        for x in (rng.normal(size=n), 1e-3 * rng.standard_t(3, size=n) + 5e3, rng.uniform(size=n) * 1e9):
+            assert population_std(x) == population_std_np(x)
+            assert roughness(x) == roughness_np(x)
+            assert kurtosis(x) == kurtosis_np(x)
+            strided = x[::3]
+            if strided.size >= 2:
+                assert kurtosis(strided) == kurtosis_np(strided)
+                assert roughness(strided) == roughness_np(strided)
+
+
 def test_zscore():
     s = Series(np.array([10, 20], dtype=np.int64), np.array([0.0, 2.0]))
     z = zscore(s)
@@ -123,6 +153,14 @@ def test_series_validation():
         Series(np.array([1, 2], dtype=np.int64), np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         Series(np.array([1, 2, 3], dtype=np.int64), np.array([0.0, 1.0]))
+
+
+def test_series_accepts_timestamps_spanning_the_whole_int64_range():
+    # Their difference does not fit in int64; the order check must not wrap.
+    ts = np.array([-(2**63) + 1, 2**63 - 1], dtype=np.int64)
+    assert len(Series(ts, np.zeros(2))) == 2
+    with pytest.raises(ValueError):
+        Series(ts[::-1], np.zeros(2))
 
 
 def test_series_from_values():

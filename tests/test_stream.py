@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from asap.generators import noisy_sine
 from asap.metrics import roughness
 from asap.preagg import preaggregate
 from asap.search import SearchConfig, SearchState, find_window
 from asap.smoothing import sma
-from asap.stream import Pane, StreamState
+from asap.series import Series
+from asap.stream import StreamState
 
 
 def _replay(state, series):
@@ -24,19 +27,24 @@ def _replay(state, series):
 
 
 def test_pane_mean():
-    p = Pane(sum=6.0, count=4, start_ts=100)
-    assert p.mean == 1.5
+    st = StreamState(pane_span=4, capacity=10, refresh_interval=100)
+    for t, v in zip(range(100, 104), (1.0, 2.0, 0.5, 2.5)):
+        st.ingest(t, v)
+    agg = st.aggregated()
+    assert agg.values.tolist() == [1.5]
+    assert agg.timestamps.tolist() == [100]
 
 
 def test_ingest_seals_full_panes():
     st = StreamState(pane_span=4, capacity=10, refresh_interval=100)
     for i in range(3):
         st.ingest(i, 1.0)
-    assert len(st.panes) == 0
+    assert len(st.aggregated()) == 0
     st.ingest(3, 5.0)
-    assert len(st.panes) == 1
-    assert st.panes[0].mean == 2.0
-    assert st.panes[0].start_ts == 0
+    agg = st.aggregated()
+    assert len(agg) == 1
+    assert agg.values[0] == 2.0
+    assert agg.timestamps[0] == 0
 
 
 def test_ingest_rejects_out_of_order_points():
@@ -51,12 +59,98 @@ def test_ring_buffer_evicts_oldest_panes():
     st = StreamState(pane_span=2, capacity=10, refresh_interval=10_000)
     for i in range(30):  # 15 panes into a 10-pane buffer
         st.ingest(i, float(i))
-    assert len(st.panes) == 10
     agg = st.aggregated()
     assert len(agg) == 10
     # First five panes fell off: the window now starts at pane five.
     assert agg.timestamps[0] == 10
-    np.testing.assert_allclose(agg.values[0], (10 + 11) / 2)
+    assert agg.values[0] == (10 + 11) / 2
+    assert agg.timestamps.tolist() == list(range(10, 30, 2))
+
+
+def test_ingest_rejects_non_finite_values_without_touching_state():
+    st = StreamState(pane_span=2, capacity=10, refresh_interval=100)
+    st.ingest(0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            st.ingest(1, bad)
+    st.ingest(1, 3.0)
+    agg = st.aggregated()
+    assert agg.values.tolist() == [2.0]
+    assert agg.timestamps.tolist() == [0]
+
+
+def test_ingest_rejects_timestamps_outside_int64():
+    st = StreamState(pane_span=1, capacity=10, refresh_interval=100)
+    for bad in (2**63, -(2**63) - 1, 10**23):
+        with pytest.raises(ValueError, match="int64"):
+            st.ingest(bad, 1.0)
+    st.ingest(-(2**63), 1.0)
+    st.ingest(2**63 - 1, 2.0)
+    assert st.aggregated().timestamps.tolist() == [-(2**63), 2**63 - 1]
+
+
+def _ring_feed(pane_span, capacity, laps, extra, seed):
+    """A stream that wraps a capacity-pane buffer `laps` times and leaves
+    `extra % pane_span` points in the open pane; timestamps repeat and jump."""
+    rng = np.random.default_rng(seed)
+    n = (capacity * laps + int(rng.integers(1, capacity + 1))) * pane_span + extra % pane_span
+    ts = np.cumsum(rng.integers(0, 3, n)) + int(rng.integers(-10**12, 10**12))
+    return ts, rng
+
+
+def _ingest_all(pane_span, capacity, ts, vs):
+    state = StreamState(pane_span=pane_span, capacity=capacity, refresh_interval=10**9)
+    for t, v in zip(ts.tolist(), vs.tolist()):
+        state.ingest(t, v)
+    return state
+
+
+RING_SHAPES = dict(
+    pane_span=strategies.integers(1, 9),
+    capacity=strategies.integers(1, 12),
+    laps=strategies.integers(0, 5),
+    extra=strategies.integers(0, 8),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(**RING_SHAPES)
+def test_ring_buffer_equals_preaggregate_of_the_trailing_points(pane_span, capacity, laps, extra, seed):
+    ts, rng = _ring_feed(pane_span, capacity, laps, extra, seed)
+    # Dyadic values keep every partial sum exact, so preaggregate's prefix
+    # sums and the stream's running sums must agree bit for bit.
+    vs = rng.integers(-2**20, 2**20, ts.size) / 1024.0
+    state = _ingest_all(pane_span, capacity, ts, vs)
+
+    sealed = ts.size // pane_span
+    kept = min(sealed, capacity) * pane_span
+    lo, hi = sealed * pane_span - kept, sealed * pane_span
+    want = preaggregate(Series(ts[lo:hi], vs[lo:hi]), pane_span)
+    got = state.aggregated()
+    assert got.values.tolist() == want.values.tolist()
+    assert got.timestamps.tolist() == want.timestamps.tolist()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(**RING_SHAPES)
+def test_ring_buffer_means_are_arrival_order_sums_and_skip_the_open_pane(
+    pane_span, capacity, laps, extra, seed
+):
+    ts, rng = _ring_feed(pane_span, capacity, laps, extra, seed)
+    vs = rng.normal(size=ts.size) * 10.0 ** rng.integers(-5, 6, ts.size)
+    state = _ingest_all(pane_span, capacity, ts, vs)
+
+    panes = []
+    for start in range(0, ts.size - pane_span + 1, pane_span):
+        total = 0.0
+        for v in vs[start : start + pane_span].tolist():
+            total += v
+        panes.append((int(ts[start]), total / pane_span))
+    panes = panes[-capacity:]
+    got = state.aggregated()
+    # `panes` holds full panes only, so this also shows the open one is absent.
+    assert list(zip(got.timestamps.tolist(), got.values.tolist())) == panes
 
 
 def test_constructor_validation():
