@@ -7,9 +7,8 @@ inputs and a pane-based streaming mode.
 """
 from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import first_differences, kurtosis, population_std, roughness, zscore
-from .preagg import PixelPlan, point_to_pixel_ratio, preaggregate
+from .preagg import point_to_pixel_ratio, preaggregate
 from .search import (
-    STRATEGIES,
     SearchConfig,
     SearchState,
     SmoothResult,
@@ -22,6 +21,7 @@ from .search import (
     is_rougher_estimate,
     search_periodic,
     update_lower_bound,
+    window_cap,
 )
 from .series import Series
 from .smoothing import SmoothParams, sma, smooth_series
@@ -31,8 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcfProfile",
-    "PixelPlan",
-    "STRATEGIES",
     "SearchConfig",
     "SearchState",
     "Series",
@@ -58,5 +56,6 @@ __all__ = [
     "sma",
     "smooth_series",
     "update_lower_bound",
+    "window_cap",
     "zscore",
 ]

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from .generators import GENERATORS
 from .io import ParseError, iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
-from .preagg import PixelPlan, preaggregate
+from .preagg import point_to_pixel_ratio, preaggregate
 from .search import (
-    STRATEGIES,
     SearchConfig,
     SmoothResult,
     binary_only_search,
@@ -33,6 +32,16 @@ from .svg import render_overlay
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
+
+# Strategy name -> search over the preaggregated series under --max-window
+# (None: the default cap). The asap entry looks find_window up when called.
+STRATEGIES = {
+    "asap": lambda s, mw: find_window(s, None if mw is None else SearchConfig(max_window=mw)),
+    "exhaustive": exhaustive_search,
+    "grid2": lambda s, mw: grid_search(s, 2, mw),
+    "grid10": lambda s, mw: grid_search(s, 10, mw),
+    "binary": binary_only_search,
+}
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,6 @@ class RunConfig:
     def validate(self) -> str | None:
         if self.resolution < 2:
             return "resolution must be >= 2"
-        if self.strategy not in STRATEGIES:
-            return f"unknown strategy {self.strategy!r}"
         if self.max_window is not None and self.max_window < 1:
             return "max-window must be >= 1"
         if self.refresh_interval < 1:
@@ -77,21 +84,6 @@ def _load_series(cfg: RunConfig) -> Series:
     return series
 
 
-def _search(aggregated: Series, strategy: str, max_window: int | None) -> SmoothResult:
-    if strategy == "asap":
-        mw = max_window if max_window is not None else max(1, len(aggregated) // 10)
-        return find_window(aggregated, SearchConfig(max_window=mw))
-    if strategy == "exhaustive":
-        return exhaustive_search(aggregated, max_window)
-    if strategy == "grid2":
-        return grid_search(aggregated, 2, max_window)
-    if strategy == "grid10":
-        return grid_search(aggregated, 10, max_window)
-    if strategy == "binary":
-        return binary_only_search(aggregated, max_window)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def _finite_or_none(value: float) -> float | None:
     return None if math.isnan(value) else value
 
@@ -108,15 +100,15 @@ def cmd_smooth(cfg: RunConfig) -> int:
     if cfg.zscore:
         series = zscore(series)
     started = time.perf_counter()
-    plan = PixelPlan.plan(len(series), cfg.resolution)
-    aggregated = preaggregate(series, plan.ratio)
-    result = _search(aggregated, cfg.strategy, cfg.max_window)
+    ratio = point_to_pixel_ratio(len(series), cfg.resolution)
+    aggregated = preaggregate(series, ratio)
+    result = STRATEGIES[cfg.strategy](aggregated, cfg.max_window)
     elapsed = time.perf_counter() - started
     meta = {
         "window": result.window,
         "raw_len": len(series),
         "aggregated_len": len(aggregated),
-        "ratio": plan.ratio,
+        "ratio": ratio,
         "roughness": result.roughness,
         "kurtosis_before": _kurtosis_or_none(aggregated.values),
         "kurtosis_after": _finite_or_none(result.kurtosis),
@@ -187,12 +179,11 @@ def cmd_bench(cfg: RunConfig) -> int:
         series = GENERATORS[cfg.gen](cfg.gen_points, cfg.seed)
     else:
         series = _load_series(cfg)
-    plan = PixelPlan.plan(len(series), cfg.resolution)
-    aggregated = preaggregate(series, plan.ratio)
+    aggregated = preaggregate(series, point_to_pixel_ratio(len(series), cfg.resolution))
     runs: list[tuple[SmoothResult, float]] = []
-    for strategy in STRATEGIES:
+    for search in STRATEGIES.values():
         started = time.perf_counter()
-        result = _search(aggregated, strategy, cfg.max_window)
+        result = search(aggregated, cfg.max_window)
         runs.append((result, time.perf_counter() - started))
     baseline = next(r.roughness for r, _ in runs if r.strategy == "exhaustive")
     print(f"{'strategy':<12}{'window':>8}{'roughness':>14}{'vs_exhaustive':>15}{'candidates':>12}{'ms':>10}")
@@ -214,9 +205,8 @@ def cmd_plot(cfg: RunConfig) -> int:
         series = zscore(series)
     except ValueError:
         pass  # constant input: plot it untransformed
-    plan = PixelPlan.plan(len(series), cfg.resolution)
-    aggregated = preaggregate(series, plan.ratio)
-    result = _search(aggregated, cfg.strategy, cfg.max_window)
+    aggregated = preaggregate(series, point_to_pixel_ratio(len(series), cfg.resolution))
+    result = STRATEGIES[cfg.strategy](aggregated, cfg.max_window)
     document = render_overlay(aggregated, result.smoothed, width=cfg.resolution)
     with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write(document)
@@ -239,40 +229,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    smooth = sub.add_parser("smooth", help="smooth a CSV file and emit the result as CSV")
-    smooth.add_argument("--input", required=True, help="CSV file: [timestamp,]value")
-    smooth.add_argument("--resolution", type=int, default=800, help="target pixel width")
-    smooth.add_argument("--max-window", type=int, default=None, dest="max_window")
-    smooth.add_argument("--strategy", choices=STRATEGIES, default="asap")
-    smooth.add_argument("--zscore", action="store_true", help="normalize values first")
-    smooth.add_argument("--meta", default=None, help="write the JSON diagnostics here instead of stderr")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        # Options left out stay out of the namespace, so RunConfig's field
+        # defaults are the only ones.
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
-    stream = sub.add_parser("stream", help="replay rows through the streaming refresher")
+    smooth = add("smooth", "smooth a CSV file and emit the result as CSV")
+    smooth.add_argument("--input", required=True, help="CSV file: [timestamp,]value")
+    smooth.add_argument("--resolution", type=int, help="target pixel width")
+    smooth.add_argument("--max-window", type=int)
+    smooth.add_argument("--strategy", choices=STRATEGIES)
+    smooth.add_argument("--zscore", action="store_true", help="normalize values first")
+    smooth.add_argument("--meta", help="write the JSON diagnostics here instead of stderr")
+
+    stream = add("stream", "replay rows through the streaming refresher")
     source = stream.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", default=None)
-    source.add_argument("--stdin", action="store_true")
-    stream.add_argument("--refresh", type=int, required=True, dest="refresh",
-                        help="panes between searches")
-    stream.add_argument("--resolution", type=int, default=800, help="pane capacity")
-    stream.add_argument("--ratio", type=int, default=None, help="points per pane")
-    stream.add_argument("--max-window", type=int, default=None, dest="max_window")
+    source.add_argument("--input")
+    source.add_argument("--stdin", action="store_true", dest="use_stdin")
+    stream.add_argument("--refresh", type=int, required=True, dest="refresh_interval",
+                        metavar="REFRESH", help="panes between searches")
+    stream.add_argument("--resolution", type=int, help="pane capacity")
+    stream.add_argument("--ratio", type=int, help="points per pane")
+    stream.add_argument("--max-window", type=int)
     stream.add_argument("--strict", action="store_true", help="abort on out-of-order or non-finite rows")
 
-    bench = sub.add_parser("bench", help="compare every strategy on one input")
+    bench = add("bench", "compare every strategy on one input")
     source = bench.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", default=None)
-    source.add_argument("--gen", choices=sorted(GENERATORS), default=None)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--gen-points", type=int, default=10000, dest="gen_points")
-    bench.add_argument("--resolution", type=int, default=800)
-    bench.add_argument("--max-window", type=int, default=None, dest="max_window")
+    source.add_argument("--input")
+    source.add_argument("--gen", choices=sorted(GENERATORS))
+    bench.add_argument("--seed", type=int)
+    bench.add_argument("--gen-points", type=int)
+    bench.add_argument("--resolution", type=int)
+    bench.add_argument("--max-window", type=int)
 
-    plot = sub.add_parser("plot", help="write an SVG overlay of raw and smoothed")
+    plot = add("plot", "write an SVG overlay of raw and smoothed")
     plot.add_argument("--input", required=True)
     plot.add_argument("--out", required=True)
-    plot.add_argument("--resolution", type=int, default=800)
-    plot.add_argument("--strategy", choices=STRATEGIES, default="asap")
-    plot.add_argument("--max-window", type=int, default=None, dest="max_window")
+    plot.add_argument("--resolution", type=int)
+    plot.add_argument("--strategy", choices=STRATEGIES)
+    plot.add_argument("--max-window", type=int)
 
     return parser
 
@@ -289,24 +284,7 @@ def _drain_stdout() -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        use_stdin=getattr(args, "stdin", False),
-        out=getattr(args, "out", None),
-        meta=getattr(args, "meta", None),
-        resolution=getattr(args, "resolution", 800),
-        max_window=getattr(args, "max_window", None),
-        strategy=getattr(args, "strategy", "asap"),
-        refresh_interval=getattr(args, "refresh", 1),
-        ratio=getattr(args, "ratio", None),
-        zscore=getattr(args, "zscore", False),
-        strict=getattr(args, "strict", False),
-        gen=getattr(args, "gen", None),
-        gen_points=getattr(args, "gen_points", 10000),
-        seed=getattr(args, "seed", 0),
-    )
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     problem = cfg.validate()
     if problem:
         print(f"error: {problem}", file=sys.stderr)

@@ -56,8 +56,14 @@ def kurtosis(values) -> float:
     sq = x - x.sum() / n
     sq *= sq
     m2 = float(sq.sum() / n)
-    if m2 == 0.0:
-        raise ValueError("kurtosis undefined for constant series")
+    if m2 * m2 == 0.0:
+        # Zero, or a spread below ~1e-154 whose m2 * m2 underflows. The ratio
+        # is scale-free, so take it on the deviations scaled to max |dev| = 1.
+        dev = x - x.sum() / n
+        scale = np.abs(dev).max()
+        if scale == 0.0:
+            raise ValueError("kurtosis undefined for constant series")
+        return kurtosis(dev / scale)
     sq *= sq
     m4 = float(sq.sum() / n)
     return m4 / (m2 * m2)

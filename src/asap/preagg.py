@@ -9,8 +9,6 @@ raw-point units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import Series
 from .smoothing import SmoothParams, smooth_series
 
@@ -31,16 +29,3 @@ def preaggregate(series: Series, ratio: int) -> Series:
         return series
     return smooth_series(series, SmoothParams(window=ratio, slide=ratio))
 
-
-@dataclass(frozen=True)
-class PixelPlan:
-    """How a raw series maps onto a target horizontal resolution."""
-
-    resolution: int
-    ratio: int
-    aggregated_len: int
-
-    @classmethod
-    def plan(cls, raw_len: int, resolution: int) -> "PixelPlan":
-        ratio = point_to_pixel_ratio(raw_len, resolution)
-        return cls(resolution=resolution, ratio=ratio, aggregated_len=raw_len // ratio)

@@ -2,7 +2,9 @@
 
 The goal: the window w that minimizes roughness of the smoothed series
 subject to kurtosis(smoothed) >= kurtosis(input), so outliers and regime
-shifts survive smoothing. find_window gets there cheaply by evaluating
+shifts survive smoothing. Every strategy evaluates candidate windows the
+same way (_try_window) inside the same frame (_run); they differ only in
+which windows they visit. find_window gets there cheaply by evaluating
 autocorrelation peak lags from largest to smallest with two pruning rules,
 then binary-searching the remaining gap; exhaustive_search is the slow
 reference that scans every window and is used as the oracle in tests.
@@ -25,12 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acf import DEFAULT_MIN_PEAK_LAG, DEFAULT_PEAK_THRESHOLD, AcfProfile, autocorrelation, find_peaks
+from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
 from .series import Series
 from .smoothing import SmoothParams, _prefix_sums, _sma_from_prefix, smooth_series
 
-STRATEGIES = ("asap", "exhaustive", "grid2", "grid10", "binary")
+
+def window_cap(n: int, max_window: int | None = None) -> int:
+    """The largest window a search considers on n points: max_window
+    (default n // 10), kept within [1, n - 1]."""
+    return max(1, min(n // 10 if max_window is None else max_window, n - 1))
 
 
 @dataclass
@@ -39,24 +45,13 @@ class SearchConfig:
 
     max_window caps the candidate range (in points of the series being
     searched, i.e. preaggregated points when preaggregation ran upstream).
-    length_corrected_pruning switches the skip rule to the full estimate with
-    the N/(N-w) factor instead of the plain sqrt(1-acf)/w proxy.
     """
 
     max_window: int
-    acf_threshold: float = DEFAULT_PEAK_THRESHOLD
-    resolution: int = 800
-    length_corrected_pruning: bool = False
 
     def __post_init__(self):
         if self.max_window < 1:
             raise ValueError("max_window must be >= 1")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
-
-    @classmethod
-    def for_length(cls, n: int, resolution: int = 800) -> "SearchConfig":
-        return cls(max_window=max(1, n // 10), resolution=resolution)
 
 
 @dataclass
@@ -66,7 +61,6 @@ class SearchState:
     window: int = 1
     roughness: float = math.inf
     lower_bound: float = 1.0
-    largest_feasible_idx: int | None = None
     evaluations: int = 0
 
 
@@ -107,114 +101,91 @@ def is_rougher_estimate(w: int, acf_w: float, best_w: int, acf_best: float) -> b
     return math.sqrt(max(0.0, 1.0 - acf_w)) / w > math.sqrt(max(0.0, 1.0 - acf_best)) / best_w
 
 
-def _evaluate(prefix: np.ndarray, w: int, state: SearchState):
-    """True metrics for one candidate; None when the smoothed series degenerates."""
+def _try_window(prefix: np.ndarray, w: int, state: SearchState, target: float) -> tuple[bool, bool]:
+    """Evaluate window w and return (feasible, kept).
+
+    Feasible: the smoothed kurtosis is at least target. Kept: feasible and
+    smoother than the state's best, which w then becomes. A smoothed series
+    whose metrics are undefined is neither.
+    """
     y = _sma_from_prefix(prefix, w)
     state.evaluations += 1
     try:
-        return roughness(y), kurtosis(y)
+        r, k = roughness(y), kurtosis(y)
     except ValueError:
-        return None
+        return False, False
+    feasible = k >= target
+    kept = feasible and r < state.roughness
+    if kept:
+        state.window, state.roughness = w, r
+    return feasible, kept
 
 
-def _prunable(state: SearchState, w: int, corr: np.ndarray, n: int, length_corrected: bool) -> bool:
+def _prunable(state: SearchState, w: int, corr: np.ndarray) -> bool:
     if not math.isfinite(state.roughness):
         return False  # nothing feasible yet, so nothing to compare against
     best_w = state.window
     if best_w >= corr.size or w >= corr.size:
         return False
-    if length_corrected:
-        return estimate_roughness(1.0, n, w, float(corr[w])) > estimate_roughness(
-            1.0, n, best_w, float(corr[best_w])
-        )
     return is_rougher_estimate(w, float(corr[w]), best_w, float(corr[best_w]))
 
 
 def search_periodic(
-    values,
-    profile: AcfProfile,
-    state: SearchState,
-    target_kurtosis: float | None = None,
-    length_corrected: bool = False,
+    values, profile: AcfProfile, state: SearchState, target_kurtosis: float
 ) -> SearchState:
-    """Walk ACF peak lags from largest to smallest, pruning as we go.
-
-    A candidate is accepted when its true roughness beats the best so far and
-    its kurtosis does not drop below the input's.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if target_kurtosis is None:
-        target_kurtosis = kurtosis(x)
-    prefix = _prefix_sums(x)
+    """Walk ACF peak lags from largest to smallest, pruning as we go; each
+    kept window raises the lower bound the walk stops at."""
+    prefix = _prefix_sums(np.asarray(values, dtype=np.float64))
     corr = profile.correlations
-    candidates = profile.peaks
-    for idx in range(len(candidates) - 1, -1, -1):
-        w = candidates[idx]
+    for w in reversed(profile.peaks):
         if w < state.lower_bound:
             break  # candidates are ascending; everything left is smaller still
-        if _prunable(state, w, corr, x.size, length_corrected):
+        if _prunable(state, w, corr):
             continue
-        evaluated = _evaluate(prefix, w, state)
-        if evaluated is None:
-            continue
-        r, k = evaluated
-        if r < state.roughness and k >= target_kurtosis:
-            state.window = w
-            state.roughness = r
+        if _try_window(prefix, w, state, target_kurtosis)[1]:
             state.lower_bound = update_lower_bound(
                 state.lower_bound, w, float(corr[w]), profile.max_acf
             )
-            if state.largest_feasible_idx is None or idx > state.largest_feasible_idx:
-                state.largest_feasible_idx = idx
     return state
 
 
 def binary_search(
-    values,
-    head: int,
-    tail: int,
-    state: SearchState,
-    target_kurtosis: float | None = None,
+    values, head: int, tail: int, state: SearchState, target_kurtosis: float
 ) -> SearchState:
     """Probe [head, tail] assuming kurtosis falls and roughness shrinks as the
-    window grows: a kurtosis violation discards the upper half, otherwise the
-    candidate is recorded when it improves on the state and the lower half is
-    discarded."""
+    window grows: an infeasible window discards the upper half, a feasible
+    one (kept when it improves on the state) the lower half."""
     x = np.asarray(values, dtype=np.float64)
-    if target_kurtosis is None:
-        target_kurtosis = kurtosis(x)
     prefix = _prefix_sums(x)
     head = max(1, head)
     tail = min(tail, x.size - 1)
     while head <= tail:
         mid = (head + tail) // 2
-        evaluated = _evaluate(prefix, mid, state)
-        if evaluated is None:
-            tail = mid - 1
-            continue
-        r, k = evaluated
-        if k < target_kurtosis:
-            tail = mid - 1
-        else:
-            if r < state.roughness:
-                state.window = mid
-                state.roughness = r
+        if _try_window(prefix, mid, state, target_kurtosis)[0]:
             head = mid + 1
+        else:
+            tail = mid - 1
     return state
 
 
-def _result_from_state(series: Series, state: SearchState, strategy: str) -> SmoothResult:
+def _run(series: Series, strategy: str, search) -> SmoothResult:
+    """The frame every strategy shares: fewer than 4 points is an error, a
+    constant series keeps window 1, and otherwise search(values, target
+    kurtosis) returns the final SearchState."""
+    x = series.values
+    if x.size < 4:
+        raise ValueError("need at least 4 points")
+    state = SearchState() if np.all(x == x[0]) else search(x, kurtosis(x))
     w = state.window
     smoothed = smooth_series(series, SmoothParams(window=w)) if w > 1 else series
     try:
         k = kurtosis(smoothed.values)
     except ValueError:
         k = math.nan
-    r = roughness(smoothed.values)
     return SmoothResult(
         window=w,
         smoothed=smoothed,
-        roughness=r,
+        roughness=roughness(smoothed.values),
         kurtosis=k,
         candidates_evaluated=max(1, state.evaluations),
         strategy=strategy,
@@ -230,72 +201,39 @@ def find_window(
     """Pick the smoothing window with the pruned ACF-peak search plus a binary
     fallback over the uncovered gap.
 
-    `state` lets a caller seed the search with a window already known to be
-    feasible (the streaming path does this); `profile` lets a caller reuse an
-    already computed autocorrelation profile.
+    Without `config` the cap is window_cap's default. `state` lets a caller
+    seed the search with a window already known to be feasible (the streaming
+    path does this); `profile` lets a caller reuse an already computed
+    autocorrelation profile.
     """
-    x = series.values
-    n = x.size
-    if n < 4:
-        raise ValueError("need at least 4 points")
-    if config is None:
-        config = SearchConfig.for_length(n)
-    max_window = max(1, min(config.max_window, n - 1))
-    if np.all(x == x[0]):
-        return _result_from_state(series, SearchState(), "asap")
-    if state is None:
+    max_window = window_cap(len(series), config.max_window if config else None)
+
+    def search(x, target):
+        walk = SearchState() if state is None else state
+        acf = profile
+        if acf is None:
+            # One lag past max_window so a peak sitting exactly on the cap
+            # still has a right neighbour to compare against.
+            acf = find_peaks(autocorrelation(x, min(x.size - 1, max_window + 1)))
+        if not acf.peaks:
+            return binary_search(x, 1, max_window, walk, target)
+        search_periodic(x, acf, walk, target)
+        head = max(math.ceil(walk.lower_bound), walk.window + 1)
+        above = next((p for p in acf.peaks if p > walk.window), max_window)
+        return binary_search(x, head, min(max_window, above), walk, target)
+
+    return _run(series, "asap", search)
+
+
+def _scan(series: Series, windows, strategy: str) -> SmoothResult:
+    def search(x, target):
         state = SearchState()
-    target = kurtosis(x)
-    if profile is None:
-        # One lag past max_window so a peak sitting exactly on the cap still
-        # has a right neighbour to compare against.
-        max_lag = min(n - 1, max_window + 1)
-        profile = find_peaks(
-            autocorrelation(x, max_lag),
-            min_lag=DEFAULT_MIN_PEAK_LAG,
-            threshold=config.acf_threshold,
-        )
-    if profile.peaks:
-        state = search_periodic(
-            x,
-            profile,
-            state,
-            target_kurtosis=target,
-            length_corrected=config.length_corrected_pruning,
-        )
-        head = max(math.ceil(state.lower_bound), state.window + 1)
-        above = next((p for p in profile.peaks if p > state.window), max_window)
-        state = binary_search(x, head, min(max_window, above), state, target_kurtosis=target)
-    else:
-        state = binary_search(x, 1, max_window, state, target_kurtosis=target)
-    return _result_from_state(series, state, "asap")
+        prefix = _prefix_sums(x)
+        for w in windows:
+            _try_window(prefix, w, state, target)
+        return state
 
-
-def _scan_windows(series: Series, windows, strategy: str) -> SmoothResult:
-    x = series.values
-    if x.size < 4:
-        raise ValueError("need at least 4 points")
-    state = SearchState()
-    if np.all(x == x[0]):
-        return _result_from_state(series, state, strategy)
-    target = kurtosis(x)
-    prefix = _prefix_sums(x)
-    for w in windows:
-        evaluated = _evaluate(prefix, w, state)
-        if evaluated is None:
-            continue
-        r, k = evaluated
-        if k >= target and r < state.roughness:
-            state.window = w
-            state.roughness = r
-    return _result_from_state(series, state, strategy)
-
-
-def _clamp_max_window(series: Series, max_window: int | None) -> int:
-    n = len(series)
-    if max_window is None:
-        max_window = max(1, n // 10)
-    return max(1, min(max_window, n - 1))
+    return _run(series, strategy, search)
 
 
 def exhaustive_search(series: Series, max_window: int | None = None) -> SmoothResult:
@@ -303,27 +241,17 @@ def exhaustive_search(series: Series, max_window: int | None = None) -> SmoothRe
 
     The reference answer the pruned search is judged against.
     """
-    mw = _clamp_max_window(series, max_window)
-    return _scan_windows(series, range(1, mw + 1), "exhaustive")
+    return _scan(series, range(1, window_cap(len(series), max_window) + 1), "exhaustive")
 
 
 def grid_search(series: Series, step: int, max_window: int | None = None) -> SmoothResult:
     """Exhaustive scan restricted to windows 1, 1+step, 1+2*step, ..."""
     if step < 1:
         raise ValueError("step must be >= 1")
-    mw = _clamp_max_window(series, max_window)
-    return _scan_windows(series, range(1, mw + 1, step), f"grid{step}")
+    return _scan(series, range(1, window_cap(len(series), max_window) + 1, step), f"grid{step}")
 
 
 def binary_only_search(series: Series, max_window: int | None = None) -> SmoothResult:
     """Binary search over the whole window range, no ACF guidance."""
-    x = series.values
-    if x.size < 4:
-        raise ValueError("need at least 4 points")
-    state = SearchState()
-    if np.all(x == x[0]):
-        return _result_from_state(series, state, "binary")
-    mw = _clamp_max_window(series, max_window)
-    state = binary_search(x, 1, mw, state)
-    result = _result_from_state(series, state, "binary")
-    return result
+    cap = window_cap(len(series), max_window)
+    return _run(series, "binary", lambda x, target: binary_search(x, 1, cap, SearchState(), target))

@@ -16,9 +16,11 @@ from math import isfinite
 
 import numpy as np
 
-from .acf import DEFAULT_MIN_PEAK_LAG, AcfProfile, autocorrelation, find_peaks
+from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
-from .search import SearchConfig, SearchState, SmoothResult, find_window, update_lower_bound
+from .search import (
+    SearchConfig, SearchState, SmoothResult, find_window, update_lower_bound, window_cap
+)
 from .series import Series
 from .smoothing import sma
 
@@ -62,11 +64,14 @@ class StreamState:
     def ingest(self, t: int, v: float) -> None:
         """Add one point; seals the open pane when it reaches pane_span points.
 
-        Raises ValueError on a non-finite value, a timestamp outside int64 or
-        an out-of-order one (equal timestamps pass); a rejected point leaves
-        the state unchanged.
+        Raises ValueError on a non-finite value, one that would overflow the
+        open pane's sum, a timestamp outside int64 or an out-of-order one
+        (equal timestamps pass); a rejected point leaves the state unchanged.
         """
-        if not isfinite(v):
+        total = self._open_sum + v
+        if not isfinite(total):
+            if isfinite(v):
+                raise ValueError(f"pane sum overflows at value {v!r}")
             raise ValueError(f"non-finite value {v!r}")
         if not self._last_ts <= t < 2**63:
             if -(2**63) <= t < 2**63:
@@ -75,7 +80,7 @@ class StreamState:
         self._last_ts = t
         if self._open_count == 0:
             self._open_start = t
-        self._open_sum += v
+        self._open_sum = total
         self._open_count += 1
         if self._open_count == self.pane_span:
             slot = self.sealed % self.capacity
@@ -132,15 +137,10 @@ class StreamState:
         if np.all(x == x[0]):
             return None
         self.panes_since_refresh = 0
-        config = self.config or SearchConfig.for_length(x.size)
-        max_window = max(1, min(config.max_window, x.size - 1))
-        max_lag = min(x.size - 1, max_window + 1)  # mirrors find_window's horizon
-        profile = find_peaks(
-            autocorrelation(x, max_lag),
-            min_lag=DEFAULT_MIN_PEAK_LAG,
-            threshold=config.acf_threshold,
-        )
+        max_window = window_cap(x.size, self.config.max_window if self.config else None)
+        # find_window's ACF horizon: one lag past the cap.
+        profile = find_peaks(autocorrelation(x, min(x.size - 1, max_window + 1)))
         seed = self.check_last_window(aggregated, profile=profile)
-        result = find_window(aggregated, config, state=seed, profile=profile)
+        result = find_window(aggregated, self.config, state=seed, profile=profile)
         self.last_result = result
         return result

@@ -8,6 +8,7 @@ import pytest
 from asap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from asap.generators import noisy_sine
 from asap.io import read_series, write_series
+from asap.metrics import kurtosis
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,19 @@ def test_smooth_bad_row_is_input_error(tmp_path, capsys):
     assert "line 3" in err
 
 
+
+def test_smooth_tiny_spread_is_not_an_error(tmp_path, capsys):
+    # A spread of 1e-160 underflows m2 * m2 inside kurtosis.
+    path = tmp_path / "tiny.csv"
+    path.write_text("".join(f"{v}\n" for v in ["0", "1e-160", "2e-160"] * 13 + ["0"]))
+    meta_path = str(tmp_path / "meta.json")
+    code, out, err = run_cli(["smooth", "--input", str(path), "--meta", meta_path], capsys)
+    assert code == EXIT_OK
+    assert err == ""
+    meta = read_meta(meta_path)
+    assert meta["kurtosis_before"] == pytest.approx(kurtosis([0.0, 1.0, 2.0] * 13 + [0.0]), rel=1e-12)
+    assert len(read_series(io.StringIO(out))) == 40 - meta["window"] + 1
+
 def test_smooth_too_few_rows_is_input_error(tmp_path, capsys):
     tiny = tmp_path / "tiny.csv"
     tiny.write_text("1,1.0\n2,2.0\n3,3.0\n")
@@ -236,6 +250,28 @@ def test_stream_non_finite_value_strict_aborts(monkeypatch, capsys):
     assert "error: line 4: non-finite value nan" in err
     assert out == ""
 
+
+
+# Two finite values on lines 1 and 2 whose sum overflows one pane at --ratio 2.
+OVERFLOW_FEED = "1,1e308\n2,1e308\n3,1\n4,1\n5,2\n6,1\n7,1\n8,3\n"
+
+
+def test_stream_pane_sum_overflow_default_drops_and_continues(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(OVERFLOW_FEED))
+    code, _, err = run_cli(["stream", "--stdin", "--ratio", "2", "--refresh", "1"], capsys)
+    assert code == EXIT_OK
+    assert "warning: line 2: dropped (pane sum overflows at value 1e+308)" in err
+    assert "(7 points, " in err
+
+
+def test_stream_pane_sum_overflow_strict_aborts(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(OVERFLOW_FEED))
+    code, out, err = run_cli(
+        ["stream", "--stdin", "--ratio", "2", "--refresh", "1", "--strict"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert "error: line 2: pane sum overflows at value 1e+308" in err
+    assert out == ""
 
 def test_bench_table_lists_every_strategy(capsys):
     code, out, _ = run_cli(

@@ -65,6 +65,15 @@ def test_kurtosis_undefined_for_constant():
         kurtosis([3.0, 3.0, 3.0])
 
 
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+def test_kurtosis_survives_spreads_whose_moments_underflow(scale):
+    # At 1e-160 m2 is nonzero but m2 * m2 underflows; below ~1e-162 m2 does.
+    x = np.tile([0.0, 1.0, 2.0], 14)[:40]
+    assert kurtosis(scale * x) == pytest.approx(kurtosis(x), rel=1e-12)
+    with pytest.raises(ValueError, match="constant"):
+        kurtosis(np.full(40, scale))
+
 def test_kurtosis_reference_distributions():
     rng = np.random.default_rng(2)
     assert kurtosis(rng.normal(size=1_000_000)) == pytest.approx(3.0, abs=0.05)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from asap.preagg import PixelPlan, point_to_pixel_ratio, preaggregate
+from asap.preagg import point_to_pixel_ratio, preaggregate
 from asap.series import Series
 from asap.smoothing import sma
 
@@ -67,9 +67,7 @@ def test_plan_lands_within_one_pixel_budget():
     for _ in range(50):
         resolution = int(rng.integers(2, 2000))
         raw_len = int(rng.integers(resolution, 500_000))
-        plan = PixelPlan.plan(raw_len, resolution)
-        assert plan.ratio == point_to_pixel_ratio(raw_len, resolution)
-        assert plan.aggregated_len == raw_len // plan.ratio
+        aggregated_len = raw_len // point_to_pixel_ratio(raw_len, resolution)
         # With at least one point per pixel the aggregate fills the budget
         # without doubling it.
-        assert resolution <= plan.aggregated_len < 2 * resolution
+        assert resolution <= aggregated_len < 2 * resolution

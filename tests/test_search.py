@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import best_window_scan
 from asap.acf import autocorrelation, find_peaks
-from asap.generators import noisy_sine, spike_in_noise, trend_seasonal, uniform
+from asap.generators import GENERATORS, noisy_sine, spike_in_noise, trend_seasonal, uniform
 from asap.metrics import kurtosis, roughness
 from asap.search import (
     SearchConfig,
@@ -20,6 +20,7 @@ from asap.search import (
     is_rougher_estimate,
     search_periodic,
     update_lower_bound,
+    window_cap,
 )
 from asap.series import Series
 from asap.smoothing import sma
@@ -281,9 +282,47 @@ def test_binary_only_search_labels_results():
     assert smooth.window > 1
 
 
-def test_search_config_for_length():
-    assert SearchConfig.for_length(1200).max_window == 120
-    assert SearchConfig.for_length(25).max_window == 2
-    assert SearchConfig.for_length(5).max_window == 1
+def test_window_cap_defaults_and_clamps():
+    assert window_cap(1200) == 120
+    assert window_cap(25) == 2
+    assert window_cap(5) == 1
+    assert window_cap(12, 500) == 11
+    assert window_cap(12, 3) == 3
     with pytest.raises(ValueError):
         SearchConfig(max_window=0)
+
+
+# (window, candidates_evaluated, strategy) per search on an 800-point series
+# from asap.generators (seed 0), recorded before the search core was merged
+# into one evaluator and one shared frame. Columns: find_window, exhaustive, grid
+# step 2, grid step 10, binary only, and find_window seeded with its own
+# cold answer.
+PINNED_SEARCHES = [
+    ("sine", None, [(64, 5, "asap"), (64, 80, "exhaustive"), (65, 40, "grid2"), (61, 8, "grid10"), (1, 6, "binary"), (64, 5, "asap")]),
+    ("sine", 40, [(32, 4, "asap"), (32, 40, "exhaustive"), (33, 20, "grid2"), (31, 4, "grid10"), (1, 5, "binary"), (32, 4, "asap")]),
+    ("trend", None, [(64, 6, "asap"), (64, 80, "exhaustive"), (65, 40, "grid2"), (61, 8, "grid10"), (60, 7, "binary"), (64, 6, "asap")]),
+    ("trend", 40, [(32, 5, "asap"), (32, 40, "exhaustive"), (33, 20, "grid2"), (31, 4, "grid10"), (30, 6, "binary"), (32, 5, "asap")]),
+    ("spike", None, [(1, 6, "asap"), (1, 80, "exhaustive"), (1, 40, "grid2"), (1, 8, "grid10"), (1, 6, "binary"), (1, 6, "asap")]),
+    ("spike", 40, [(1, 5, "asap"), (1, 40, "exhaustive"), (1, 20, "grid2"), (1, 4, "grid10"), (1, 5, "binary"), (1, 5, "asap")]),
+    ("gaussian", None, [(1, 6, "asap"), (19, 80, "exhaustive"), (19, 40, "grid2"), (1, 8, "grid10"), (1, 6, "binary"), (1, 6, "asap")]),
+    ("gaussian", 40, [(1, 5, "asap"), (19, 40, "exhaustive"), (19, 20, "grid2"), (1, 4, "grid10"), (1, 5, "binary"), (1, 5, "asap")]),
+    ("uniform", None, [(80, 7, "asap"), (80, 80, "exhaustive"), (79, 40, "grid2"), (71, 8, "grid10"), (80, 7, "binary"), (80, 7, "asap")]),
+    ("uniform", 40, [(40, 6, "asap"), (40, 40, "exhaustive"), (39, 20, "grid2"), (31, 4, "grid10"), (40, 6, "binary"), (40, 6, "asap")]),
+]
+
+
+@pytest.mark.parametrize("shape,cap,expected", PINNED_SEARCHES)
+def test_every_strategy_keeps_its_pinned_answer(shape, cap, expected):
+    s = GENERATORS[shape](800, 0)
+    config = None if cap is None else SearchConfig(max_window=cap)
+    cold = find_window(s, config)
+    warm = find_window(s, config, state=SearchState(window=cold.window, roughness=cold.roughness))
+    results = [
+        cold,
+        exhaustive_search(s, cap),
+        grid_search(s, 2, cap),
+        grid_search(s, 10, cap),
+        binary_only_search(s, cap),
+        warm,
+    ]
+    assert [(r.window, r.candidates_evaluated, r.strategy) for r in results] == expected

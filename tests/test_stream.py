@@ -79,6 +79,17 @@ def test_ingest_rejects_non_finite_values_without_touching_state():
     assert agg.timestamps.tolist() == [0]
 
 
+
+def test_ingest_rejects_a_value_that_overflows_the_pane_sum():
+    st = StreamState(pane_span=2, capacity=10, refresh_interval=100)
+    st.ingest(1, 1e308)
+    with pytest.raises(ValueError, match="pane sum overflows at value 1e\\+308"):
+        st.ingest(5, 1e308)
+    st.ingest(3, 1.0)  # the rejected point moved neither the sum nor the clock
+    agg = st.aggregated()
+    assert agg.values.tolist() == [(1e308 + 1.0) / 2]
+    assert agg.timestamps.tolist() == [1]
+
 def test_ingest_rejects_timestamps_outside_int64():
     st = StreamState(pane_span=1, capacity=10, refresh_interval=100)
     for bad in (2**63, -(2**63) - 1, 10**23):
