@@ -9,7 +9,6 @@ from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import first_differences, kurtosis, population_std, roughness, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import (
-    SearchConfig,
     SearchState,
     SmoothResult,
     binary_only_search,
@@ -24,17 +23,15 @@ from .search import (
     window_cap,
 )
 from .series import Series
-from .smoothing import SmoothParams, sma, smooth_series
+from .smoothing import sma, smooth_series
 from .stream import StreamState
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcfProfile",
-    "SearchConfig",
     "SearchState",
     "Series",
-    "SmoothParams",
     "SmoothResult",
     "StreamState",
     "autocorrelation",

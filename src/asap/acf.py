@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MIN_PEAK_LAG = 2
-DEFAULT_PEAK_THRESHOLD = 0.2
+MIN_PEAK_LAG = 2
+PEAK_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,8 @@ def autocorrelation(values, max_lag: int) -> np.ndarray:
     return raw / raw[0]
 
 
-def find_peaks(
-    correlations,
-    min_lag: int = DEFAULT_MIN_PEAK_LAG,
-    threshold: float = DEFAULT_PEAK_THRESHOLD,
-) -> AcfProfile:
-    """Strict local maxima above threshold at lags >= min_lag.
+def find_peaks(correlations) -> AcfProfile:
+    """Strict local maxima above PEAK_THRESHOLD at lags >= MIN_PEAK_LAG.
 
     A run of equal values flanked by lower neighbours counts once, at its
     leftmost lag. max_acf is 0 when nothing qualifies, which downstream code
@@ -64,6 +60,6 @@ def find_peaks(
     starts, ends = runs[:-1], runs[1:]
     level = c[starts]
     peaks = starts[(level > c[starts - 1]) & (c[ends] < level)]
-    peaks = peaks[(peaks >= min_lag) & (c[peaks] > threshold)]
+    peaks = peaks[(peaks >= MIN_PEAK_LAG) & (c[peaks] > PEAK_THRESHOLD)]
     max_acf = float(c[peaks].max()) if peaks.size else 0.0
     return AcfProfile(correlations=c, peaks=tuple(peaks.tolist()), max_acf=max_acf)

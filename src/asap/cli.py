@@ -17,14 +17,7 @@ from .generators import GENERATORS
 from .io import ParseError, iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
-from .search import (
-    SearchConfig,
-    SmoothResult,
-    binary_only_search,
-    exhaustive_search,
-    find_window,
-    grid_search,
-)
+from .search import SmoothResult, binary_only_search, exhaustive_search, find_window, grid_search
 from .series import Series
 from .stream import StreamState
 from .svg import render_overlay
@@ -36,7 +29,7 @@ EXIT_CONFIG = 2
 # Strategy name -> search over the preaggregated series under --max-window
 # (None: the default cap). The asap entry looks find_window up when called.
 STRATEGIES = {
-    "asap": lambda s, mw: find_window(s, None if mw is None else SearchConfig(max_window=mw)),
+    "asap": lambda s, mw: find_window(s, max_window=mw),
     "exhaustive": exhaustive_search,
     "grid2": lambda s, mw: grid_search(s, 2, mw),
     "grid10": lambda s, mw: grid_search(s, 10, mw),
@@ -84,15 +77,10 @@ def _load_series(cfg: RunConfig) -> Series:
     return series
 
 
-def _finite_or_none(value: float) -> float | None:
-    return None if math.isnan(value) else value
-
-
-def _kurtosis_or_none(values) -> float | None:
-    try:
-        return kurtosis(values)
-    except ValueError:
-        return None
+def _json_number(value: float) -> float | None:
+    """value, or None (JSON null) for NaN and the infinities, which JSON
+    cannot represent."""
+    return value if math.isfinite(value) else None
 
 
 def cmd_smooth(cfg: RunConfig) -> int:
@@ -104,19 +92,23 @@ def cmd_smooth(cfg: RunConfig) -> int:
     aggregated = preaggregate(series, ratio)
     result = STRATEGIES[cfg.strategy](aggregated, cfg.max_window)
     elapsed = time.perf_counter() - started
+    try:
+        kurtosis_before = kurtosis(aggregated.values)
+    except ValueError:
+        kurtosis_before = math.nan  # constant input
     meta = {
         "window": result.window,
         "raw_len": len(series),
         "aggregated_len": len(aggregated),
         "ratio": ratio,
-        "roughness": result.roughness,
-        "kurtosis_before": _kurtosis_or_none(aggregated.values),
-        "kurtosis_after": _finite_or_none(result.kurtosis),
+        "roughness": _json_number(result.roughness),
+        "kurtosis_before": _json_number(kurtosis_before),
+        "kurtosis_after": _json_number(result.kurtosis),
         "candidates_evaluated": result.candidates_evaluated,
         "elapsed_seconds": elapsed,
         "strategy": result.strategy,
     }
-    rendered = json.dumps(meta, sort_keys=True)
+    rendered = json.dumps(meta, sort_keys=True, allow_nan=False)
     # Diagnostics first: they must land even if whoever reads stdout hangs up
     # partway through the CSV.
     if cfg.meta:
@@ -137,12 +129,11 @@ def cmd_stream(cfg: RunConfig) -> int:
             buffered = list(iter_rows(fh))
         rows = iter(buffered)
         ratio = cfg.ratio or max(1, len(buffered) // cfg.resolution)
-    config = SearchConfig(max_window=cfg.max_window) if cfg.max_window else None
     state = StreamState(
         pane_span=ratio,
         capacity=cfg.resolution,
         refresh_interval=cfg.refresh_interval,
-        config=config,
+        max_window=cfg.max_window,
     )
     consumed = 0
     refreshes = 0
@@ -163,11 +154,11 @@ def cmd_stream(cfg: RunConfig) -> int:
             record = {
                 "refresh_index": refreshes,
                 "window": result.window,
-                "roughness": result.roughness,
-                "kurtosis": _finite_or_none(result.kurtosis),
+                "roughness": _json_number(result.roughness),
+                "kurtosis": _json_number(result.kurtosis),
                 "points_consumed": consumed,
             }
-            print(json.dumps(record, sort_keys=True))
+            print(json.dumps(record, sort_keys=True, allow_nan=False))
     elapsed = time.perf_counter() - started
     rate = consumed / elapsed if elapsed > 0 else float(consumed)
     print(f"throughput: {rate:.1f} points/s ({consumed} points, {refreshes} refreshes)", file=sys.stderr)

@@ -8,6 +8,7 @@ file from the first data row. Naive ISO datetimes are read as UTC.
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from math import isfinite
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -93,7 +94,13 @@ def read_series(source: str | TextIO) -> Series:
             return read_series(fh)
     timestamps: list[int] = []
     values: list[float] = []
-    for _, t, v in iter_rows(source):
+    for lineno, t, v in iter_rows(source):
+        # Checked here rather than in iter_rows, which `asap stream` reads: a
+        # stream drops such a row with a warning and goes on.
+        if not isfinite(v):
+            raise ParseError(lineno, f"non-finite value {v!r}")
+        if not -(2**63) <= t < 2**63:
+            raise ParseError(lineno, f"timestamp {t} outside the int64 range")
         timestamps.append(t)
         values.append(v)
     if not values:

@@ -30,28 +30,21 @@ import numpy as np
 from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
 from .series import Series
-from .smoothing import SmoothParams, _prefix_sums, _sma_from_prefix, smooth_series
+from .smoothing import _prefix_sums, _sma_from_prefix, smooth_series
 
 
 def window_cap(n: int, max_window: int | None = None) -> int:
     """The largest window a search considers on n points: max_window
-    (default n // 10), kept within [1, n - 1]."""
-    return max(1, min(n // 10 if max_window is None else max_window, n - 1))
+    (default n // 10), kept within [1, n - 1].
 
-
-@dataclass
-class SearchConfig:
-    """Knobs for find_window.
-
-    max_window caps the candidate range (in points of the series being
-    searched, i.e. preaggregated points when preaggregation ran upstream).
+    max_window counts points of the series being searched, i.e. preaggregated
+    points when preaggregation ran upstream; below 1 it is a ValueError.
     """
-
-    max_window: int
-
-    def __post_init__(self):
-        if self.max_window < 1:
-            raise ValueError("max_window must be >= 1")
+    if max_window is None:
+        max_window = n // 10
+    elif max_window < 1:
+        raise ValueError(f"max_window must be >= 1, got {max_window}")
+    return max(1, min(max_window, n - 1))
 
 
 @dataclass
@@ -177,7 +170,7 @@ def _run(series: Series, strategy: str, search) -> SmoothResult:
         raise ValueError("need at least 4 points")
     state = SearchState() if np.all(x == x[0]) else search(x, kurtosis(x))
     w = state.window
-    smoothed = smooth_series(series, SmoothParams(window=w)) if w > 1 else series
+    smoothed = smooth_series(series, w) if w > 1 else series
     try:
         k = kurtosis(smoothed.values)
     except ValueError:
@@ -194,19 +187,20 @@ def _run(series: Series, strategy: str, search) -> SmoothResult:
 
 def find_window(
     series: Series,
-    config: SearchConfig | None = None,
+    *,
+    max_window: int | None = None,
     state: SearchState | None = None,
     profile: AcfProfile | None = None,
 ) -> SmoothResult:
     """Pick the smoothing window with the pruned ACF-peak search plus a binary
     fallback over the uncovered gap.
 
-    Without `config` the cap is window_cap's default. `state` lets a caller
-    seed the search with a window already known to be feasible (the streaming
-    path does this); `profile` lets a caller reuse an already computed
-    autocorrelation profile.
+    max_window caps the candidates through window_cap (None: its default).
+    `state` lets a caller seed the search with a window already known to be
+    feasible (the streaming path does this); `profile` lets a caller reuse an
+    already computed autocorrelation profile.
     """
-    max_window = window_cap(len(series), config.max_window if config else None)
+    max_window = window_cap(len(series), max_window)
 
     def search(x, target):
         walk = SearchState() if state is None else state

@@ -1,55 +1,34 @@
 """Simple moving average over a sliding window.
 
-Output point k averages values[k*slide : k*slide + window]; windows that
-would run past the end are dropped, so slide=1 yields N - window + 1 points.
-Timestamps stay left-aligned (each output keeps the timestamp of the first
-raw point it covers).
+Output point k averages values[k : k + window]; windows that would run past
+the end are dropped, so N points yield N - window + 1 outputs. Timestamps
+stay left-aligned (each output keeps the timestamp of the first raw point it
+covers).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .series import Series
 
 
-@dataclass(frozen=True)
-class SmoothParams:
-    window: int
-    slide: int = 1
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.slide < 1:
-            raise ValueError("slide must be >= 1")
-
-
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
 
 
-def _sma_from_prefix(prefix: np.ndarray, window: int, slide: int = 1) -> np.ndarray:
-    n = prefix.size - 1
-    if slide == 1:
-        return (prefix[window:] - prefix[:-window]) / window
-    starts = np.arange(0, n - window + 1, slide)
-    return (prefix[starts + window] - prefix[starts]) / window
+def _sma_from_prefix(prefix: np.ndarray, window: int) -> np.ndarray:
+    return (prefix[window:] - prefix[:-window]) / window
 
 
-def sma(values, window: int, slide: int = 1) -> np.ndarray:
+def sma(values, window: int) -> np.ndarray:
     """Moving-average values only; see smooth_series for the timestamped form."""
     x = np.asarray(values, dtype=np.float64)
     if window < 1 or window > x.size:
         raise ValueError(f"window must be in [1, {x.size}], got {window}")
-    if slide < 1:
-        raise ValueError("slide must be >= 1")
-    return _sma_from_prefix(_prefix_sums(x), window, slide)
+    return _sma_from_prefix(_prefix_sums(x), window)
 
 
-def smooth_series(series: Series, params: SmoothParams) -> Series:
+def smooth_series(series: Series, window: int) -> Series:
     """Apply sma to a Series, keeping left-aligned output timestamps."""
-    vals = sma(series.values, params.window, params.slide)
-    starts = np.arange(0, len(series) - params.window + 1, params.slide)
-    return Series(series.timestamps[starts], vals)
+    vals = sma(series.values, window)
+    return Series(series.timestamps[: vals.size], vals)

@@ -18,9 +18,7 @@ import numpy as np
 
 from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
-from .search import (
-    SearchConfig, SearchState, SmoothResult, find_window, update_lower_bound, window_cap
-)
+from .search import SearchState, SmoothResult, find_window, update_lower_bound, window_cap
 from .series import Series
 from .smoothing import sma
 
@@ -35,7 +33,7 @@ class StreamState:
         pane_span: int,
         capacity: int,
         refresh_interval: int,
-        config: SearchConfig | None = None,
+        max_window: int | None = None,
     ):
         if pane_span < 1:
             raise ValueError("pane_span must be >= 1")
@@ -43,10 +41,13 @@ class StreamState:
             raise ValueError("capacity must be >= 1")
         if refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1")
+        # window_cap is the one check on max_window; run it now so a bad cap
+        # fails here rather than at the first refresh.
+        window_cap(MIN_PANES_FOR_SEARCH, max_window)
         self.pane_span = pane_span
         self.capacity = capacity
         self.refresh_interval = refresh_interval
-        self.config = config  # None means size max_window from the data at each refresh
+        self.max_window = max_window  # None: window_cap's default at each refresh
         # Sealed pane i (counting from the first) sits in slot i % capacity
         # and again in slot i % capacity + capacity, so the newest `capacity`
         # panes are always one contiguous slice, oldest first.
@@ -137,10 +138,10 @@ class StreamState:
         if np.all(x == x[0]):
             return None
         self.panes_since_refresh = 0
-        max_window = window_cap(x.size, self.config.max_window if self.config else None)
+        max_window = window_cap(x.size, self.max_window)
         # find_window's ACF horizon: one lag past the cap.
         profile = find_peaks(autocorrelation(x, min(x.size - 1, max_window + 1)))
         seed = self.check_last_window(aggregated, profile=profile)
-        result = find_window(aggregated, self.config, state=seed, profile=profile)
+        result = find_window(aggregated, max_window=self.max_window, state=seed, profile=profile)
         self.last_result = result
         return result

@@ -24,7 +24,7 @@ from asap.generators import (
 )
 from asap.metrics import kurtosis, population_std, roughness
 from asap.preagg import preaggregate
-from asap.search import SearchConfig, estimate_roughness, exhaustive_search, find_window
+from asap.search import estimate_roughness, exhaustive_search, find_window
 from asap.smoothing import sma
 from asap.stream import StreamState
 
@@ -89,7 +89,7 @@ def pixel_results():
     started = time.perf_counter()
     for kind, series in _pixel_datasets():
         max_window = len(series) // 10
-        fast = find_window(series, SearchConfig(max_window=max_window))
+        fast = find_window(series, max_window=max_window)
         full = exhaustive_search(series, max_window=max_window)
         records.append((kind, series, fast, full))
     elapsed = time.perf_counter() - started
@@ -198,7 +198,7 @@ def test_criterion_06_preaggregation_penalty_bound(capsys):
         ratio = n // 100
         w_opt = exhaustive_search(raw, max_window=n // 10).window
         agg = preaggregate(raw, ratio)
-        w_a = find_window(agg, SearchConfig(max_window=len(agg) // 10)).window
+        w_a = find_window(agg, max_window=len(agg) // 10).window
         penalty = roughness(sma(raw.values, w_a * ratio)) / roughness(sma(raw.values, w_opt))
         bound = (w_a + 1) / w_a
         outcomes.append((penalty, bound))

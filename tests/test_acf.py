@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import direct_acf, find_peaks_loop
-from asap.acf import AcfProfile, autocorrelation, find_peaks
+from asap.acf import MIN_PEAK_LAG, PEAK_THRESHOLD, AcfProfile, autocorrelation, find_peaks
 
 
 def test_lag_zero_is_exactly_one():
@@ -80,13 +80,13 @@ def test_autocorrelation_validation():
 def test_find_peaks_strict_interior_maxima():
     corr = np.array([1.0, 0.1, 0.6, 0.2, 0.8, 0.1])
     assert find_peaks(corr).peaks == (2, 4)
-    assert find_peaks(corr, min_lag=3).peaks == (4,)
+    # Lag 1 is below MIN_PEAK_LAG even when it is a strict maximum.
+    assert find_peaks(np.array([1.0, 0.6, 0.2, 0.8, 0.1])).peaks == (3,)
 
 
 def test_find_peaks_threshold_excludes_weak_bumps():
-    corr = np.array([1.0, 0.0, 0.15, 0.0, 0.5, 0.0])
+    corr = np.array([1.0, 0.0, 0.15, 0.0, 0.5, 0.0, PEAK_THRESHOLD, 0.0])
     assert find_peaks(corr).peaks == (4,)
-    assert find_peaks(corr, threshold=0.1).peaks == (2, 4)
 
 
 def test_find_peaks_plateau_reports_left_edge():
@@ -104,14 +104,13 @@ def test_find_peaks_ignores_edges():
 @given(
     values=st.lists(st.floats(-1.5, 1.5), min_size=0, max_size=64),
     decimals=st.integers(0, 2),
-    min_lag=st.integers(0, 3),
-    threshold=st.floats(-1.0, 1.0),
 )
-def test_find_peaks_matches_the_loop_oracle(values, decimals, min_lag, threshold):
-    # Rounding to few decimals makes plateaus and ties common.
+def test_find_peaks_matches_the_loop_oracle(values, decimals):
+    # Rounding to few decimals makes plateaus and ties common, and puts
+    # values right at PEAK_THRESHOLD.
     c = np.round(np.asarray(values, dtype=np.float64), decimals)
-    profile = find_peaks(c, min_lag=min_lag, threshold=threshold)
-    assert (profile.peaks, profile.max_acf) == find_peaks_loop(c, min_lag, threshold)
+    profile = find_peaks(c)
+    assert (profile.peaks, profile.max_acf) == find_peaks_loop(c, MIN_PEAK_LAG, PEAK_THRESHOLD)
     assert all(type(p) is int for p in profile.peaks)
 
 

@@ -1,10 +1,15 @@
 """CLI behavior: subcommands, exit codes, determinism, output formats."""
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import asap
 from asap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from asap.generators import noisy_sine
 from asap.io import read_series, write_series
@@ -133,6 +138,57 @@ def test_smooth_bad_row_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert "line 3" in err
 
+
+
+@pytest.mark.parametrize("row,message", [
+    ("99999999999999999999999,4", "line 3: timestamp 99999999999999999999999 outside the int64 range"),
+    ("3,nan", "line 3: non-finite value nan"),
+])
+def test_smooth_out_of_range_row_is_input_error(tmp_path, capsys, row, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1,1.0\n2,2.0\n{row}\n4,4.0\n5,1.0\n")
+    code, out, err = run_cli(["smooth", "--input", str(bad)], capsys)
+    assert code == EXIT_INPUT
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _cli_subprocess(args, cwd, stdin=None):
+    # A subprocess, because overflowing moments still emit RuntimeWarnings,
+    # which this suite turns into errors.
+    env = dict(os.environ, PYTHONPATH=str(Path(asap.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "asap.cli", *args], input=stdin, capture_output=True,
+        text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def test_stream_records_stay_json_when_moments_overflow(tmp_path):
+    # Pane means near 5e307 overflow the moments and the ACF at refresh.
+    feed = "1,1e308\n2,1e308\n" + "".join(f"{t},{1 + t % 3}\n" for t in range(3, 15))
+    proc = _cli_subprocess(["stream", "--stdin", "--ratio", "2", "--refresh", "1"], tmp_path, feed)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    records = [_strict_json(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 3
+    assert all(r["roughness"] is None and r["kurtosis"] is None for r in records)
+
+
+def test_smooth_meta_stays_json_when_moments_overflow(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(f"{i},{1e200 if i % 2 else -1e200}\n" for i in range(200)))
+    meta_path = tmp_path / "meta.json"
+    proc = _cli_subprocess(["smooth", "--input", str(path), "--meta", str(meta_path)], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    meta = _strict_json(meta_path.read_text())
+    assert meta["roughness"] is None and meta["kurtosis_before"] is None
+    assert len(proc.stdout.splitlines()) == 201
 
 
 def test_smooth_tiny_spread_is_not_an_error(tmp_path, capsys):

@@ -46,6 +46,23 @@ def test_bad_row_reports_line_number():
         read_series(io.StringIO("10,1.0\n20,2.0\n30,1.0,extra\n"))
 
 
+def test_timestamp_outside_int64_reports_line_number():
+    with pytest.raises(ParseError, match="line 3: timestamp 99999999999999999999999 outside the int64 range"):
+        read_series(io.StringIO("1,1.0\n2,2.0\n99999999999999999999999,4\n"))
+    with pytest.raises(ParseError, match="line 2: timestamp -9223372036854775809 "):
+        read_series(io.StringIO("1,1.0\n-9223372036854775809,2.0\n"))
+    s = read_series(io.StringIO("-9223372036854775808,1.0\n9223372036854775807,2.0\n"))
+    assert s.timestamps.tolist() == [-(2**63), 2**63 - 1]
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "1e999"])
+def test_non_finite_value_reports_line_number(text):
+    with pytest.raises(ParseError, match=r"line 3: non-finite value"):
+        read_series(io.StringIO(f"timestamp,value\n1,1.0\n2,{text}\n3,3.0\n"))
+    with pytest.raises(ParseError, match=r"line 2: non-finite value"):
+        read_series(io.StringIO(f"1.0\n{text}\n3.0\n"))
+
+
 def test_second_unparseable_row_is_an_error_not_a_header():
     with pytest.raises(ParseError, match="line 2"):
         read_series(io.StringIO("timestamp,value\nalso,not,data\n1,2.0\n"))

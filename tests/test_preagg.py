@@ -1,7 +1,10 @@
 """Pixel-budget preaggregation: grouping ratio and composed means."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import sma_loop
 from asap.preagg import point_to_pixel_ratio, preaggregate
 from asap.series import Series
 from asap.smoothing import sma
@@ -38,8 +41,30 @@ def test_preaggregate_drops_trailing_partial_group():
 def test_preaggregate_ratio_one_is_identity():
     s = Series.from_values(np.arange(10.0))
     assert preaggregate(s, 1) is s
-    with pytest.raises(ValueError):
-        preaggregate(s, 0)
+    for bad in (0, -2, 11):
+        with pytest.raises(ValueError):
+            preaggregate(s, bad)
+    assert len(preaggregate(s, 10)) == 1
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
+    start=st.integers(-(2**40), 2**40),
+    step=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_preaggregate_matches_the_loop_oracle(values, start, step, data):
+    s = Series.from_values(values, start=start, step=step)
+    ratio = data.draw(st.integers(1, len(values)), label="ratio")
+    out = preaggregate(s, ratio)
+    np.testing.assert_allclose(out.values, sma_loop(s.values, ratio, slide=ratio), rtol=1e-12, atol=1e-6)
+    if ratio > 1:  # ratio 1 returns the input itself
+        # The same prefix-sum arithmetic as sma, so equal bit for bit.
+        np.testing.assert_array_equal(out.values, sma(s.values, ratio)[::ratio])
+    # Left-aligned: each group keeps the timestamp of its first raw point.
+    assert out.timestamps.tolist() == s.timestamps[: len(out) * ratio : ratio].tolist()
+    assert len(out) == len(values) // ratio
 
 
 def test_preaggregate_preserves_mean_of_full_groups():
@@ -58,7 +83,7 @@ def test_smoothing_composes_across_scales():
     ratio, w = 5, 7
     agg = preaggregate(s, ratio)
     np.testing.assert_allclose(
-        sma(agg.values, w), sma(s.values, w * ratio, slide=ratio), atol=1e-10
+        sma(agg.values, w), sma(s.values, w * ratio)[::ratio], atol=1e-10
     )
 
 

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from _oracles import best_window_scan
-from asap.acf import autocorrelation, find_peaks
+from asap.acf import AcfProfile, autocorrelation, find_peaks
 from asap.generators import GENERATORS, noisy_sine, spike_in_noise, trend_seasonal, uniform
 from asap.metrics import kurtosis, roughness
 from asap.search import (
-    SearchConfig,
     SearchState,
     binary_only_search,
     binary_search,
@@ -123,9 +122,7 @@ def test_search_periodic_rejects_kurtosis_violations():
 
 def test_search_periodic_no_peaks_is_noop():
     x = np.random.default_rng(9).normal(size=500)
-    # A threshold above 1 guarantees an empty peak set.
-    profile = find_peaks(autocorrelation(x, 50), threshold=2.0)
-    assert profile.peaks == ()
+    profile = AcfProfile(autocorrelation(x, 50), (), 0.0)
     state = SearchState()
     search_periodic(x, profile, state, target_kurtosis=kurtosis(x))
     assert state.window == 1 and state.evaluations == 0
@@ -185,7 +182,7 @@ def test_find_window_matches_exhaustive_scan():
     ]
     for s in fixtures:
         max_window = len(s) // 10
-        fast = find_window(s, SearchConfig(max_window=max_window))
+        fast = find_window(s, max_window=max_window)
         want_w, _ = best_window_scan(s.values, max_window)
         assert fast.window == want_w
         assert fast.candidates_evaluated <= max_window
@@ -227,13 +224,13 @@ def test_find_window_needs_four_points():
 
 def test_find_window_respects_max_window_cap():
     s = noisy_sine(2000, period=200, noise=0.2, seed=8)
-    res = find_window(s, SearchConfig(max_window=40))
+    res = find_window(s, max_window=40)
     assert res.window <= 40
 
 
 def test_find_window_clamps_cap_to_series_length():
     s = Series.from_values(np.random.default_rng(1).uniform(size=12))
-    res = find_window(s, SearchConfig(max_window=500))
+    res = find_window(s, max_window=500)
     assert res.window <= 11
 
 
@@ -288,8 +285,13 @@ def test_window_cap_defaults_and_clamps():
     assert window_cap(5) == 1
     assert window_cap(12, 500) == 11
     assert window_cap(12, 3) == 3
-    with pytest.raises(ValueError):
-        SearchConfig(max_window=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            window_cap(12, bad)
+        with pytest.raises(ValueError):
+            find_window(uniform(100, seed=1), max_window=bad)
+        with pytest.raises(ValueError):
+            exhaustive_search(uniform(100, seed=1), max_window=bad)
 
 
 # (window, candidates_evaluated, strategy) per search on an 800-point series
@@ -314,9 +316,8 @@ PINNED_SEARCHES = [
 @pytest.mark.parametrize("shape,cap,expected", PINNED_SEARCHES)
 def test_every_strategy_keeps_its_pinned_answer(shape, cap, expected):
     s = GENERATORS[shape](800, 0)
-    config = None if cap is None else SearchConfig(max_window=cap)
-    cold = find_window(s, config)
-    warm = find_window(s, config, state=SearchState(window=cold.window, roughness=cold.roughness))
+    cold = find_window(s, max_window=cap)
+    warm = find_window(s, max_window=cap, state=SearchState(window=cold.window, roughness=cold.roughness))
     results = [
         cold,
         exhaustive_search(s, cap),

@@ -7,18 +7,13 @@ import pytest
 from _oracles import sma_loop
 from asap.metrics import kurtosis, population_std, roughness
 from asap.series import Series
-from asap.smoothing import SmoothParams, sma, smooth_series
+from asap.smoothing import sma, smooth_series
 
 
 def test_sma_hand_computed():
     np.testing.assert_allclose(sma([1.0, 2.0, 3.0, 4.0], 2), [1.5, 2.5, 3.5])
     np.testing.assert_allclose(sma([2.0, 4.0, 6.0], 3), [4.0])
     np.testing.assert_allclose(sma([1.0, 2.0, 3.0], 1), [1.0, 2.0, 3.0])
-
-
-def test_sma_slide_drops_trailing_partial_window():
-    np.testing.assert_allclose(sma(np.arange(1.0, 7.0), 2, slide=2), [1.5, 3.5, 5.5])
-    np.testing.assert_allclose(sma(np.arange(1.0, 6.0), 2, slide=2), [1.5, 3.5])
 
 
 def test_sma_parameter_validation():
@@ -28,11 +23,9 @@ def test_sma_parameter_validation():
     with pytest.raises(ValueError):
         sma(x, 5)
     with pytest.raises(ValueError):
-        sma(x, 2, slide=0)
+        smooth_series(Series.from_values(x), 0)
     with pytest.raises(ValueError):
-        SmoothParams(window=0)
-    with pytest.raises(ValueError):
-        SmoothParams(window=2, slide=-1)
+        smooth_series(Series.from_values(x), 5)
 
 
 def test_sma_matches_loop_oracle():
@@ -41,15 +34,13 @@ def test_sma_matches_loop_oracle():
         n = int(rng.integers(4, 200))
         x = rng.normal(size=n) * 10
         w = int(rng.integers(1, n + 1))
-        s = int(rng.integers(1, 8))
-        np.testing.assert_allclose(sma(x, w, s), sma_loop(x, w, s), atol=1e-10)
+        np.testing.assert_allclose(sma(x, w), sma_loop(x, w), atol=1e-10)
 
 
 def test_sma_output_length():
     rng = np.random.default_rng(12)
-    for n, w, s in [(10, 3, 1), (10, 3, 3), (10, 10, 1), (7, 2, 5), (100, 9, 4)]:
-        out = sma(rng.normal(size=n), w, s)
-        assert out.size == (n - w) // s + 1
+    for n, w in [(10, 3), (10, 10), (7, 2), (100, 9), (1, 1)]:
+        assert sma(rng.normal(size=n), w).size == n - w + 1
 
 
 def test_sma_stays_within_input_range():
@@ -65,25 +56,19 @@ def test_disjoint_windows_preserve_mean():
     rng = np.random.default_rng(14)
     x = rng.normal(size=1000)
     for w in (4, 7, 25):
-        y = sma(x, w, slide=w)
+        y = sma(x, w)[::w]  # disjoint windows
         covered = x[: y.size * w]
         assert float(y.mean()) == pytest.approx(float(covered.mean()), abs=1e-12)
 
 
 def test_smooth_series_keeps_left_edge_timestamps():
     s = Series(np.array([10, 20, 30, 40], dtype=np.int64), np.array([1.0, 2.0, 3.0, 4.0]))
-    out = smooth_series(s, SmoothParams(window=2))
+    out = smooth_series(s, 2)
     assert out.timestamps.tolist() == [10, 20, 30]
     np.testing.assert_allclose(out.values, [1.5, 2.5, 3.5])
 
-    whole = smooth_series(s, SmoothParams(window=4))
+    whole = smooth_series(s, 4)
     assert whole.timestamps.tolist() == [10]
-
-
-def test_smooth_series_slide_timestamps():
-    s = Series.from_values(np.arange(8.0), start=0, step=5)
-    out = smooth_series(s, SmoothParams(window=2, slide=3))
-    assert out.timestamps.tolist() == [0, 15, 30]
 
 
 def test_iid_roughness_law():

@@ -9,7 +9,7 @@ from hypothesis import strategies
 from asap.generators import noisy_sine
 from asap.metrics import roughness
 from asap.preagg import preaggregate
-from asap.search import SearchConfig, SearchState, find_window
+from asap.search import SearchState, find_window
 from asap.smoothing import sma
 from asap.series import Series
 from asap.stream import StreamState
@@ -171,6 +171,8 @@ def test_constructor_validation():
         StreamState(pane_span=1, capacity=0, refresh_interval=1)
     with pytest.raises(ValueError):
         StreamState(pane_span=1, capacity=10, refresh_interval=0)
+    with pytest.raises(ValueError):
+        StreamState(pane_span=1, capacity=10, refresh_interval=1, max_window=0)
 
 
 def test_no_refresh_before_four_panes():
@@ -296,10 +298,7 @@ def test_infeasible_prior_window_falls_back_to_cold_start():
 
 def test_explicit_config_caps_stream_window():
     raw = noisy_sine(4000, period=100, noise=0.3, seed=14)
-    st = StreamState(
-        pane_span=1, capacity=4000, refresh_interval=4000,
-        config=SearchConfig(max_window=25),
-    )
+    st = StreamState(pane_span=1, capacity=4000, refresh_interval=4000, max_window=25)
     _replay(st, raw)
     assert st.last_result is not None
     assert st.last_result.window <= 25
