@@ -11,7 +11,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .generators import GENERATORS
 from .io import ParseError, iter_rows, read_series, write_series
@@ -24,7 +23,7 @@ from .svg import render_overlay
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_CONFIG = 2
+EXIT_CONFIG = 2  # argparse's own status for a bad flag or value
 
 # Strategy name -> search over the preaggregated series under --max-window
 # (None: the default cap). The asap entry looks find_window up when called.
@@ -37,41 +36,20 @@ STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None = None
-    use_stdin: bool = False
-    out: str | None = None
-    meta: str | None = None
-    resolution: int = 800
-    max_window: int | None = None
-    strategy: str = "asap"
-    refresh_interval: int = 1
-    ratio: int | None = None
-    zscore: bool = False
-    strict: bool = False
-    gen: str | None = None
-    gen_points: int = 10000
-    seed: int = 0
-
-    def validate(self) -> str | None:
-        if self.resolution < 2:
-            return "resolution must be >= 2"
-        if self.max_window is not None and self.max_window < 1:
-            return "max-window must be >= 1"
-        if self.refresh_interval < 1:
-            return "refresh must be >= 1"
-        if self.ratio is not None and self.ratio < 1:
-            return "ratio must be >= 1"
-        if self.gen_points < 4:
-            return "gen-points must be >= 4"
-        return None
+def _at_least(n: int):
+    """argparse type: an int no smaller than n, so a value out of bounds
+    takes argparse's exit-2 path like every other bad flag."""
+    def at_least(text: str) -> int:
+        value = int(text)
+        if value < n:
+            raise argparse.ArgumentTypeError(f"must be >= {n}")
+        return value
+    at_least.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
+    return at_least
 
 
-def _load_series(cfg: RunConfig) -> Series:
-    source = sys.stdin if cfg.use_stdin else cfg.input
-    series = read_series(source)
+def _load_series(path: str) -> Series:
+    series = read_series(path)
     if len(series) < 4:
         raise ParseError(0, "need at least 4 data rows")
     return series
@@ -83,14 +61,14 @@ def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def cmd_smooth(cfg: RunConfig) -> int:
-    series = _load_series(cfg)
-    if cfg.zscore:
+def cmd_smooth(args: argparse.Namespace) -> int:
+    series = _load_series(args.input)
+    if args.zscore:
         series = zscore(series)
     started = time.perf_counter()
-    ratio = point_to_pixel_ratio(len(series), cfg.resolution)
+    ratio = point_to_pixel_ratio(len(series), args.resolution)
     aggregated = preaggregate(series, ratio)
-    result = STRATEGIES[cfg.strategy](aggregated, cfg.max_window)
+    result = STRATEGIES[args.strategy](aggregated, args.max_window)
     elapsed = time.perf_counter() - started
     try:
         kurtosis_before = kurtosis(aggregated.values)
@@ -111,8 +89,8 @@ def cmd_smooth(cfg: RunConfig) -> int:
     rendered = json.dumps(meta, sort_keys=True, allow_nan=False)
     # Diagnostics first: they must land even if whoever reads stdout hangs up
     # partway through the CSV.
-    if cfg.meta:
-        with open(cfg.meta, "w", encoding="utf-8") as fh:
+    if args.meta:
+        with open(args.meta, "w", encoding="utf-8") as fh:
             fh.write(rendered + "\n")
     else:
         print(rendered, file=sys.stderr)
@@ -120,20 +98,20 @@ def cmd_smooth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stream(cfg: RunConfig) -> int:
-    if cfg.use_stdin:
+def cmd_stream(args: argparse.Namespace) -> int:
+    if args.stdin:
         rows = iter_rows(sys.stdin)
-        ratio = cfg.ratio or 1
+        ratio = args.ratio or 1
     else:
-        with open(cfg.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             buffered = list(iter_rows(fh))
         rows = iter(buffered)
-        ratio = cfg.ratio or max(1, len(buffered) // cfg.resolution)
+        ratio = args.ratio or max(1, len(buffered) // args.resolution)
     state = StreamState(
         pane_span=ratio,
-        capacity=cfg.resolution,
-        refresh_interval=cfg.refresh_interval,
-        max_window=cfg.max_window,
+        capacity=args.resolution,
+        refresh_interval=args.refresh,
+        max_window=args.max_window,
     )
     consumed = 0
     refreshes = 0
@@ -142,7 +120,7 @@ def cmd_stream(cfg: RunConfig) -> int:
         try:
             state.ingest(t, v)
         except ValueError as exc:
-            if cfg.strict:
+            if args.strict:
                 print(f"error: line {lineno}: {exc}", file=sys.stderr)
                 return EXIT_INPUT
             print(f"warning: line {lineno}: dropped ({exc})", file=sys.stderr)
@@ -165,16 +143,16 @@ def cmd_stream(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.gen:
-        series = GENERATORS[cfg.gen](cfg.gen_points, cfg.seed)
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.gen:
+        series = GENERATORS[args.gen](args.gen_points, args.seed)
     else:
-        series = _load_series(cfg)
-    aggregated = preaggregate(series, point_to_pixel_ratio(len(series), cfg.resolution))
+        series = _load_series(args.input)
+    aggregated = preaggregate(series, point_to_pixel_ratio(len(series), args.resolution))
     runs: list[tuple[SmoothResult, float]] = []
     for search in STRATEGIES.values():
         started = time.perf_counter()
-        result = search(aggregated, cfg.max_window)
+        result = search(aggregated, args.max_window)
         runs.append((result, time.perf_counter() - started))
     baseline = next(r.roughness for r, _ in runs if r.strategy == "exhaustive")
     print(f"{'strategy':<12}{'window':>8}{'roughness':>14}{'vs_exhaustive':>15}{'candidates':>12}{'ms':>10}")
@@ -190,26 +168,18 @@ def cmd_bench(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    series = _load_series(cfg)
+def cmd_plot(args: argparse.Namespace) -> int:
+    series = _load_series(args.input)
     try:
         series = zscore(series)
     except ValueError:
         pass  # constant input: plot it untransformed
-    aggregated = preaggregate(series, point_to_pixel_ratio(len(series), cfg.resolution))
-    result = STRATEGIES[cfg.strategy](aggregated, cfg.max_window)
-    document = render_overlay(aggregated, result.smoothed, width=cfg.resolution)
-    with open(cfg.out, "w", encoding="utf-8") as fh:
+    aggregated = preaggregate(series, point_to_pixel_ratio(len(series), args.resolution))
+    result = STRATEGIES[args.strategy](aggregated, args.max_window)
+    document = render_overlay(aggregated, result.smoothed, width=args.resolution)
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(document)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "smooth": cmd_smooth,
-    "stream": cmd_stream,
-    "bench": cmd_bench,
-    "plot": cmd_plot,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,46 +189,46 @@ def _build_parser() -> argparse.ArgumentParser:
         "window automatically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    resolution = {"type": _at_least(2), "default": 800}
+    max_window = {"type": _at_least(1)}
 
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
-        # Options left out stay out of the namespace, so RunConfig's field
-        # defaults are the only ones.
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-
-    smooth = add("smooth", "smooth a CSV file and emit the result as CSV")
+    smooth = sub.add_parser("smooth", help="smooth a CSV file and emit the result as CSV")
+    smooth.set_defaults(handler=cmd_smooth)
     smooth.add_argument("--input", required=True, help="CSV file: [timestamp,]value")
-    smooth.add_argument("--resolution", type=int, help="target pixel width")
-    smooth.add_argument("--max-window", type=int)
-    smooth.add_argument("--strategy", choices=STRATEGIES)
+    smooth.add_argument("--resolution", **resolution, help="target pixel width")
+    smooth.add_argument("--max-window", **max_window)
+    smooth.add_argument("--strategy", choices=STRATEGIES, default="asap")
     smooth.add_argument("--zscore", action="store_true", help="normalize values first")
     smooth.add_argument("--meta", help="write the JSON diagnostics here instead of stderr")
 
-    stream = add("stream", "replay rows through the streaming refresher")
+    stream = sub.add_parser("stream", help="replay rows through the streaming refresher")
+    stream.set_defaults(handler=cmd_stream)
     source = stream.add_mutually_exclusive_group(required=True)
     source.add_argument("--input")
-    source.add_argument("--stdin", action="store_true", dest="use_stdin")
-    stream.add_argument("--refresh", type=int, required=True, dest="refresh_interval",
-                        metavar="REFRESH", help="panes between searches")
-    stream.add_argument("--resolution", type=int, help="pane capacity")
-    stream.add_argument("--ratio", type=int, help="points per pane")
-    stream.add_argument("--max-window", type=int)
+    source.add_argument("--stdin", action="store_true")
+    stream.add_argument("--refresh", type=_at_least(1), required=True, help="panes between searches")
+    stream.add_argument("--resolution", **resolution, help="pane capacity")
+    stream.add_argument("--ratio", type=_at_least(1), help="points per pane")
+    stream.add_argument("--max-window", **max_window)
     stream.add_argument("--strict", action="store_true", help="abort on out-of-order or non-finite rows")
 
-    bench = add("bench", "compare every strategy on one input")
+    bench = sub.add_parser("bench", help="compare every strategy on one input")
+    bench.set_defaults(handler=cmd_bench)
     source = bench.add_mutually_exclusive_group(required=True)
     source.add_argument("--input")
     source.add_argument("--gen", choices=sorted(GENERATORS))
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--gen-points", type=int)
-    bench.add_argument("--resolution", type=int)
-    bench.add_argument("--max-window", type=int)
+    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--gen-points", type=_at_least(4), default=10000)
+    bench.add_argument("--resolution", **resolution)
+    bench.add_argument("--max-window", **max_window)
 
-    plot = add("plot", "write an SVG overlay of raw and smoothed")
+    plot = sub.add_parser("plot", help="write an SVG overlay of raw and smoothed")
+    plot.set_defaults(handler=cmd_plot)
     plot.add_argument("--input", required=True)
     plot.add_argument("--out", required=True)
-    plot.add_argument("--resolution", type=int)
-    plot.add_argument("--strategy", choices=STRATEGIES)
-    plot.add_argument("--max-window", type=int)
+    plot.add_argument("--resolution", **resolution)
+    plot.add_argument("--strategy", choices=STRATEGIES, default="asap")
+    plot.add_argument("--max-window", **max_window)
 
     return parser
 
@@ -274,14 +244,9 @@ def _drain_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    cfg = RunConfig(**vars(parser.parse_args(argv)))
-    problem = cfg.validate()
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -25,6 +25,8 @@ class ParseError(ValueError):
 
 
 def _parse_iso_ms(text: str) -> int:
+    # int() and float() ignore surrounding whitespace; fromisoformat does not.
+    text = text.strip()
     cleaned = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
@@ -61,7 +63,7 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
         line = raw.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if mode is None:
             mode = _detect_mode(parts)
             if mode is None:
@@ -94,21 +96,22 @@ def read_series(source: str | TextIO) -> Series:
             return read_series(fh)
     timestamps: list[int] = []
     values: list[float] = []
+    last = -(2**63)
     for lineno, t, v in iter_rows(source):
         # Checked here rather than in iter_rows, which `asap stream` reads: a
         # stream drops such a row with a warning and goes on.
         if not isfinite(v):
             raise ParseError(lineno, f"non-finite value {v!r}")
-        if not -(2**63) <= t < 2**63:
+        if not last <= t < 2**63:
+            if -(2**63) <= t < 2**63:
+                raise ParseError(lineno, f"out-of-order point: {t} after {last}")
             raise ParseError(lineno, f"timestamp {t} outside the int64 range")
+        last = t
         timestamps.append(t)
         values.append(v)
     if not values:
         raise ParseError(0, "no data rows")
-    try:
-        return Series(np.array(timestamps, dtype=np.int64), np.array(values))
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    return Series(np.array(timestamps, dtype=np.int64), np.array(values))
 
 
 def write_series(series: Series, stream: TextIO) -> None:

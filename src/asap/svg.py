@@ -1,8 +1,6 @@
 """Minimal SVG emitter: raw and smoothed series as exactly two polylines."""
 from __future__ import annotations
 
-import numpy as np
-
 from .series import Series
 
 _PAD = 10.0
@@ -16,13 +14,12 @@ def _points(series: Series, t0, t1, v0, v1, width, height) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
-def render_overlay(raw: Series, smoothed: Series, width: int, height: int | None = None) -> str:
-    """SVG document sized width x height with the raw polyline drawn thin
-    underneath the smoothed polyline."""
+def render_overlay(raw: Series, smoothed: Series, width: int) -> str:
+    """SVG document width wide and half as tall (at least 120) with the raw
+    polyline drawn thin underneath the smoothed polyline."""
     if width < 2:
         raise ValueError("width must be >= 2")
-    if height is None:
-        height = max(120, width // 2)
+    height = max(120, width // 2)
     t0 = min(raw.timestamps.min(), smoothed.timestamps.min())
     t1 = max(raw.timestamps.max(), smoothed.timestamps.max())
     v0 = float(min(raw.values.min(), smoothed.values.min()))

@@ -143,6 +143,7 @@ def test_smooth_bad_row_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("row,message", [
     ("99999999999999999999999,4", "line 3: timestamp 99999999999999999999999 outside the int64 range"),
     ("3,nan", "line 3: non-finite value nan"),
+    ("1,1.0", "line 3: out-of-order point: 1 after 2"),
 ])
 def test_smooth_out_of_range_row_is_input_error(tmp_path, capsys, row, message):
     bad = tmp_path / "bad.csv"
@@ -212,9 +213,42 @@ def test_smooth_too_few_rows_is_input_error(tmp_path, capsys):
 
 
 def test_bad_resolution_is_config_error(sine_csv, capsys):
-    code, _, err = run_cli(["smooth", "--input", sine_csv, "--resolution", "1"], capsys)
-    assert code == EXIT_CONFIG
-    assert "resolution" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", "--input", sine_csv, "--resolution", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "resolution" in capsys.readouterr().err
+
+
+def _config_exit(argv):
+    """main's exit status, whether it returns it or raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def command_args(sine_csv, tmp_path):
+    return {
+        "smooth": ["smooth", "--input", sine_csv],
+        "stream": ["stream", "--input", sine_csv, "--refresh", "1"],
+        "bench": ["bench", "--gen", "sine"],
+        "plot": ["plot", "--input", sine_csv, "--out", str(tmp_path / "plot.svg")],
+    }
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *((c, f, v) for c in ("smooth", "stream", "bench", "plot")
+      for f, v in (("--resolution", "1"), ("--max-window", "0"))),
+    ("stream", "--refresh", "0"),
+    ("stream", "--ratio", "0"),
+    ("bench", "--gen-points", "3"),
+])
+def test_every_bounded_flag_is_a_config_error(command_args, capsys, command, flag, value):
+    assert _config_exit([*command_args[command], flag, value]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert flag.lstrip("-") in err
+    assert out == ""
 
 
 def test_unknown_strategy_is_rejected_by_the_parser(sine_csv, capsys):

@@ -76,8 +76,31 @@ def test_empty_input_is_an_error():
 
 
 def test_decreasing_timestamps_are_an_error():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 2: out-of-order point: 10 after 20"):
         read_series(io.StringIO("20,1.0\n10,2.0\n"))
+
+
+# (header, plain rows, the same rows with fields padded by spaces and tabs)
+PADDED = [
+    ("timestamp,value", "10,1.5\n20,-2.5\n30,3.0\n", " 10 , 1.5\n\t20,\t-2.5 \n30\t,  3.0\t\n"),
+    ("value", "1.5\n-2.5\n3.0\n", " 1.5 \n\t-2.5\n3.0\t\n"),
+    ("timestamp,value", "2021-01-01T00:00:00Z,1.0\n2021-01-01T00:00:01,2.0\n",
+     " 2021-01-01T00:00:00Z ,\t1.0\n\t2021-01-01T00:00:01 , 2.0 \n"),
+]
+
+
+@pytest.mark.parametrize("header,plain,padded", PADDED)
+@pytest.mark.parametrize("header_style", ["none", "plain", "padded"])
+def test_padded_fields_parse_like_plain_ones(header, plain, padded, header_style):
+    expected = read_series(io.StringIO(plain))
+    prefix = {
+        "none": "",
+        "plain": header + "\n",
+        "padded": " " + header.replace(",", " ,\t") + "\t\n",
+    }[header_style]
+    got = read_series(io.StringIO(prefix + padded))
+    np.testing.assert_array_equal(got.timestamps, expected.timestamps)
+    np.testing.assert_array_equal(got.values, expected.values)
 
 
 def test_iter_rows_yields_line_numbers():

@@ -37,7 +37,7 @@ def test_overlay_draws_smoothed_on_top():
 
 def test_overlay_handles_constant_values():
     s = Series.from_values(np.full(10, 3.0))
-    doc = render_overlay(s, s, width=300, height=150)
+    doc = render_overlay(s, s, width=300)
     for line in _polylines(doc):
         for pair in line.get("points").split():
             x, y = map(float, pair.split(","))
