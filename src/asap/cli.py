@@ -13,11 +13,12 @@ import sys
 import time
 
 from .generators import GENERATORS
-from .io import ParseError, iter_rows, read_series, write_series
+from .io import iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
-from .search import SmoothResult, binary_only_search, exhaustive_search, find_window, grid_search
-from .series import Series
+from .search import (
+    MIN_POINTS, SmoothResult, binary_only_search, exhaustive_search, find_window, grid_search,
+)
 from .stream import StreamState
 from .svg import render_overlay
 
@@ -48,13 +49,6 @@ def _at_least(n: int):
     return at_least
 
 
-def _load_series(path: str) -> Series:
-    series = read_series(path)
-    if len(series) < 4:
-        raise ParseError(0, "need at least 4 data rows")
-    return series
-
-
 def _json_number(value: float) -> float | None:
     """value, or None (JSON null) for NaN and the infinities, which JSON
     cannot represent."""
@@ -62,7 +56,7 @@ def _json_number(value: float) -> float | None:
 
 
 def cmd_smooth(args: argparse.Namespace) -> int:
-    series = _load_series(args.input)
+    series = read_series(args.input)
     if args.zscore:
         series = zscore(series)
     started = time.perf_counter()
@@ -70,17 +64,13 @@ def cmd_smooth(args: argparse.Namespace) -> int:
     aggregated = preaggregate(series, ratio)
     result = STRATEGIES[args.strategy](aggregated, args.max_window)
     elapsed = time.perf_counter() - started
-    try:
-        kurtosis_before = kurtosis(aggregated.values)
-    except ValueError:
-        kurtosis_before = math.nan  # constant input
     meta = {
         "window": result.window,
         "raw_len": len(series),
         "aggregated_len": len(aggregated),
         "ratio": ratio,
         "roughness": _json_number(result.roughness),
-        "kurtosis_before": _json_number(kurtosis_before),
+        "kurtosis_before": _json_number(kurtosis(aggregated.values)),
         "kurtosis_after": _json_number(result.kurtosis),
         "candidates_evaluated": result.candidates_evaluated,
         "elapsed_seconds": elapsed,
@@ -103,7 +93,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         rows = iter_rows(sys.stdin)
         ratio = args.ratio or 1
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             buffered = list(iter_rows(fh))
         rows = iter(buffered)
         ratio = args.ratio or max(1, len(buffered) // args.resolution)
@@ -147,7 +137,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.gen:
         series = GENERATORS[args.gen](args.gen_points, args.seed)
     else:
-        series = _load_series(args.input)
+        series = read_series(args.input)
     aggregated = preaggregate(series, point_to_pixel_ratio(len(series), args.resolution))
     runs: list[tuple[SmoothResult, float]] = []
     for search in STRATEGIES.values():
@@ -169,7 +159,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    series = _load_series(args.input)
+    series = read_series(args.input)
     try:
         series = zscore(series)
     except ValueError:
@@ -189,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "window automatically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    resolution = {"type": _at_least(2), "default": 800}
+    # Fewer than MIN_POINTS pixels leaves too few preaggregated points to search.
+    resolution = {"type": _at_least(MIN_POINTS), "default": 800}
     max_window = {"type": _at_least(1)}
 
     smooth = sub.add_parser("smooth", help="smooth a CSV file and emit the result as CSV")
@@ -218,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input")
     source.add_argument("--gen", choices=sorted(GENERATORS))
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--gen-points", type=_at_least(4), default=10000)
+    bench.add_argument("--gen-points", type=_at_least(MIN_POINTS), default=10000)
     bench.add_argument("--resolution", **resolution)
     bench.add_argument("--max-window", **max_window)
 
@@ -247,16 +238,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         _drain_stdout()
         return EXIT_OK  # downstream closed the pipe on purpose (e.g. head)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers io.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

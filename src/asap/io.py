@@ -92,7 +92,7 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
 def read_series(source: str | TextIO) -> Series:
     """Parse a whole CSV file (path or open text stream) into a Series."""
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             return read_series(fh)
     timestamps: list[int] = []
     values: list[float] = []

@@ -47,7 +47,8 @@ def roughness(values) -> float:
 def kurtosis(values) -> float:
     """Fourth standardized moment m4 / m2^2 (population moments).
 
-    Raises ValueError for constant input, where the ratio is undefined.
+    NaN for constant input, where the ratio is undefined: NaN fails every
+    `k >= target` test, so a search never accepts a window that smooths flat.
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
@@ -62,7 +63,7 @@ def kurtosis(values) -> float:
         dev = x - x.sum() / n
         scale = np.abs(dev).max()
         if scale == 0.0:
-            raise ValueError("kurtosis undefined for constant series")
+            return math.nan
         return kurtosis(dev / scale)
     sq *= sq
     m4 = float(sq.sum() / n)

@@ -32,6 +32,8 @@ from .metrics import kurtosis, roughness
 from .series import Series
 from .smoothing import _prefix_sums, _sma_from_prefix, smooth_series
 
+MIN_POINTS = 4  # the shortest series any search (and so any stream refresh) runs on
+
 
 def window_cap(n: int, max_window: int | None = None) -> int:
     """The largest window a search considers on n points: max_window
@@ -45,6 +47,13 @@ def window_cap(n: int, max_window: int | None = None) -> int:
     elif max_window < 1:
         raise ValueError(f"max_window must be >= 1, got {max_window}")
     return max(1, min(max_window, n - 1))
+
+
+def acf_horizon(n: int, max_window: int | None = None) -> int:
+    """The autocorrelation lags a search over n points needs: one past
+    window_cap, so a peak sitting exactly on the cap still has a right
+    neighbour to compare against."""
+    return min(n - 1, window_cap(n, max_window) + 1)
 
 
 @dataclass
@@ -98,15 +107,12 @@ def _try_window(prefix: np.ndarray, w: int, state: SearchState, target: float) -
     """Evaluate window w and return (feasible, kept).
 
     Feasible: the smoothed kurtosis is at least target. Kept: feasible and
-    smoother than the state's best, which w then becomes. A smoothed series
-    whose metrics are undefined is neither.
+    smoother than the state's best, which w then becomes. A window that
+    smooths the series flat has NaN kurtosis, so it is neither.
     """
     y = _sma_from_prefix(prefix, w)
     state.evaluations += 1
-    try:
-        r, k = roughness(y), kurtosis(y)
-    except ValueError:
-        return False, False
+    r, k = roughness(y), kurtosis(y)
     feasible = k >= target
     kept = feasible and r < state.roughness
     if kept:
@@ -162,24 +168,20 @@ def binary_search(
 
 
 def _run(series: Series, strategy: str, search) -> SmoothResult:
-    """The frame every strategy shares: fewer than 4 points is an error, a
-    constant series keeps window 1, and otherwise search(values, target
-    kurtosis) returns the final SearchState."""
+    """The frame every strategy shares: fewer than MIN_POINTS points is an
+    error, a constant series keeps window 1, and otherwise search(values,
+    target kurtosis) returns the final SearchState."""
     x = series.values
-    if x.size < 4:
-        raise ValueError("need at least 4 points")
+    if x.size < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} points")
     state = SearchState() if np.all(x == x[0]) else search(x, kurtosis(x))
     w = state.window
     smoothed = smooth_series(series, w) if w > 1 else series
-    try:
-        k = kurtosis(smoothed.values)
-    except ValueError:
-        k = math.nan
     return SmoothResult(
         window=w,
         smoothed=smoothed,
         roughness=roughness(smoothed.values),
-        kurtosis=k,
+        kurtosis=kurtosis(smoothed.values),
         candidates_evaluated=max(1, state.evaluations),
         strategy=strategy,
     )
@@ -206,9 +208,7 @@ def find_window(
         walk = SearchState() if state is None else state
         acf = profile
         if acf is None:
-            # One lag past max_window so a peak sitting exactly on the cap
-            # still has a right neighbour to compare against.
-            acf = find_peaks(autocorrelation(x, min(x.size - 1, max_window + 1)))
+            acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
         if not acf.peaks:
             return binary_search(x, 1, max_window, walk, target)
         search_periodic(x, acf, walk, target)

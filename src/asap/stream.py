@@ -18,11 +18,11 @@ import numpy as np
 
 from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
-from .search import SearchState, SmoothResult, find_window, update_lower_bound, window_cap
+from .search import (
+    MIN_POINTS, SearchState, SmoothResult, acf_horizon, find_window, update_lower_bound, window_cap,
+)
 from .series import Series
 from .smoothing import sma
-
-MIN_PANES_FOR_SEARCH = 4
 
 
 class StreamState:
@@ -43,7 +43,7 @@ class StreamState:
             raise ValueError("refresh_interval must be >= 1")
         # window_cap is the one check on max_window; run it now so a bad cap
         # fails here rather than at the first refresh.
-        window_cap(MIN_PANES_FOR_SEARCH, max_window)
+        window_cap(MIN_POINTS, max_window)
         self.pane_span = pane_span
         self.capacity = capacity
         self.refresh_interval = refresh_interval
@@ -111,10 +111,7 @@ class StreamState:
         if w >= x.size:
             return fresh
         y = sma(x, w)
-        try:
-            if kurtosis(y) < kurtosis(x):
-                return fresh
-        except ValueError:
+        if not kurtosis(y) >= kurtosis(x):  # NaN (w smooths flat) fails too
             return fresh
         seeded = SearchState(window=w, roughness=roughness(y))
         if profile is not None and w < profile.correlations.size:
@@ -126,21 +123,20 @@ class StreamState:
     def maybe_refresh(self) -> SmoothResult | None:
         """Re-run the window search when enough new panes have been sealed.
 
-        Returns None while warming up (< 4 panes), between refreshes, or when
-        the pane means are constant and there is nothing to search yet.
+        Returns None while warming up (< MIN_POINTS panes), between
+        refreshes, or when the pane means are constant and there is nothing
+        to search yet.
         """
         if self.panes_since_refresh < self.refresh_interval:
             return None
-        if min(self.sealed, self.capacity) < MIN_PANES_FOR_SEARCH:
+        if min(self.sealed, self.capacity) < MIN_POINTS:
             return None
         aggregated = self.aggregated()
         x = aggregated.values
         if np.all(x == x[0]):
             return None
         self.panes_since_refresh = 0
-        max_window = window_cap(x.size, self.max_window)
-        # find_window's ACF horizon: one lag past the cap.
-        profile = find_peaks(autocorrelation(x, min(x.size - 1, max_window + 1)))
+        profile = find_peaks(autocorrelation(x, acf_horizon(x.size, self.max_window)))
         seed = self.check_last_window(aggregated, profile=profile)
         result = find_window(aggregated, max_window=self.max_window, state=seed, profile=profile)
         self.last_result = result

@@ -209,8 +209,20 @@ def test_smooth_too_few_rows_is_input_error(tmp_path, capsys):
     tiny.write_text("1,1.0\n2,2.0\n3,3.0\n")
     code, _, err = run_cli(["smooth", "--input", str(tiny)], capsys)
     assert code == EXIT_INPUT
-    assert "4 data rows" in err
+    assert "need at least 4 points" in err
 
+
+
+def test_smooth_constant_input_writes_null_kurtosis(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("".join(f"{t},7.5\n" for t in range(5)))
+    meta_path = str(tmp_path / "meta.json")
+    code, out, _ = run_cli(["smooth", "--input", str(path), "--meta", meta_path], capsys)
+    assert code == EXIT_OK
+    meta = _strict_json(Path(meta_path).read_text())
+    assert meta["kurtosis_before"] is None and meta["kurtosis_after"] is None
+    assert meta["window"] == 1 and meta["roughness"] == 0.0
+    assert len(read_series(io.StringIO(out))) == 5
 
 def test_bad_resolution_is_config_error(sine_csv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -239,7 +251,7 @@ def command_args(sine_csv, tmp_path):
 
 @pytest.mark.parametrize("command,flag,value", [
     *((c, f, v) for c in ("smooth", "stream", "bench", "plot")
-      for f, v in (("--resolution", "1"), ("--max-window", "0"))),
+      for f, v in (("--resolution", "1"), ("--resolution", "3"), ("--max-window", "0"))),
     ("stream", "--refresh", "0"),
     ("stream", "--ratio", "0"),
     ("bench", "--gen-points", "3"),
@@ -295,6 +307,23 @@ def test_stream_empty_stdin(monkeypatch, capsys):
     assert out == ""
     assert "0 points" in err
 
+
+
+@pytest.mark.parametrize("header", ["", "timestamp,value\n"])
+def test_stream_input_ignores_a_byte_order_mark(tmp_path, capsys, header):
+    rows = "".join(f"{t},{v}\n" for t, v in enumerate([5.0, 1.0, 4.0, 2.0, 3.0, 1.0, 2.0, 6.0], 1))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(header + rows)
+    marked.write_bytes(b"\xef\xbb\xbf" + (header + rows).encode())
+    outputs = []
+    for path in (plain, marked):
+        code, out, err = run_cli(
+            ["stream", "--input", str(path), "--refresh", "1", "--resolution", "4"], capsys
+        )
+        assert code == EXIT_OK
+        assert "(8 points, 1 refreshes)" in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 def test_stream_out_of_order_strict_aborts(tmp_path, capsys):
     path = tmp_path / "ooo.csv"
@@ -376,6 +405,26 @@ def test_bench_table_lists_every_strategy(capsys):
     # The pruned search inspects strictly fewer candidates than the full scan.
     assert int(body["asap"][4]) < int(body["exhaustive"][4])
 
+
+
+def test_bench_input_on_constant_series_ties_every_strategy(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("".join(f"{t},2.0\n" for t in range(50)))
+    code, out, _ = run_cli(["bench", "--input", str(path)], capsys)
+    assert code == EXIT_OK
+    body = {line.split()[0]: line.split() for line in out.strip().splitlines()[1:]}
+    assert set(body) == {"asap", "exhaustive", "grid2", "grid10", "binary"}
+    # A zero exhaustive roughness: a strategy that matches it reads 1.0000.
+    assert all(row[1:4] == ["1", "0", "1.0000"] for row in body.values())
+
+
+def test_bench_input_too_short_is_input_error(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("1,1.0\n2,2.0\n")
+    code, out, err = run_cli(["bench", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert "at least 4" in err
+    assert out == ""
 
 def test_bench_rejects_unknown_generator(capsys):
     with pytest.raises(SystemExit):

@@ -103,6 +103,22 @@ def test_padded_fields_parse_like_plain_ones(header, plain, padded, header_style
     np.testing.assert_array_equal(got.values, expected.values)
 
 
+
+@pytest.mark.parametrize("header,rows", [
+    ("", "1,5.0\n2,1.0\n3,4.0\n4,2.0\n5,3.0\n"),
+    ("timestamp,value\n", "1,5.0\n2,1.0\n3,4.0\n4,2.0\n5,3.0\n"),
+    ("", "5.0\n1.0\n4.0\n2.0\n3.0\n"),
+])
+def test_leading_byte_order_mark_is_ignored(tmp_path, header, rows):
+    # A UTF-8 byte-order mark must not turn the first data row into a header.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (header + rows).encode())
+    got = read_series(str(path))
+    expected = read_series(io.StringIO(header + rows))
+    np.testing.assert_array_equal(got.timestamps, expected.timestamps)
+    np.testing.assert_array_equal(got.values, expected.values)
+    assert got.values.tolist() == [5.0, 1.0, 4.0, 2.0, 3.0]
+
 def test_iter_rows_yields_line_numbers():
     rows = list(iter_rows(["value\n", "1.5\n", "\n", "2.5\n"]))
     assert rows == [(2, 0, 1.5), (4, 1, 2.5)]

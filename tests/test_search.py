@@ -10,6 +10,7 @@ from asap.generators import GENERATORS, noisy_sine, spike_in_noise, trend_season
 from asap.metrics import kurtosis, roughness
 from asap.search import (
     SearchState,
+    acf_horizon,
     binary_only_search,
     binary_search,
     estimate_roughness,
@@ -254,6 +255,14 @@ def test_exhaustive_search_counts_every_candidate():
     assert res.window == want_w
 
 
+
+def test_exhaustive_search_skips_a_window_that_smooths_flat():
+    # Window 4 averages each period to 2.5, which has no kurtosis, so it is
+    # infeasible like any window that lowers kurtosis.
+    s = Series.from_values(np.tile([1.0, 2.0, 3.0, 4.0], 50))
+    res = exhaustive_search(s)
+    assert (res.window, res.candidates_evaluated) == (17, 20)
+
 def test_grid_search_steps_over_candidates():
     s = noisy_sine(4000, period=50, noise=0.5, seed=11)
     g10 = grid_search(s, step=10)
@@ -292,6 +301,13 @@ def test_window_cap_defaults_and_clamps():
             find_window(uniform(100, seed=1), max_window=bad)
         with pytest.raises(ValueError):
             exhaustive_search(uniform(100, seed=1), max_window=bad)
+
+
+def test_acf_horizon_is_one_lag_past_the_cap():
+    assert acf_horizon(1200) == 121
+    assert acf_horizon(1200, 40) == 41
+    assert acf_horizon(12, 500) == 11  # the cap is 11, and no lag reaches past n - 1
+    assert acf_horizon(4) == 2
 
 
 # (window, candidates_evaluated, strategy) per search on an 800-point series

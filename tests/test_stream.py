@@ -9,7 +9,7 @@ from hypothesis import strategies
 from asap.generators import noisy_sine
 from asap.metrics import roughness
 from asap.preagg import preaggregate
-from asap.search import SearchState, find_window
+from asap.search import SearchState, SmoothResult, find_window
 from asap.smoothing import sma
 from asap.series import Series
 from asap.stream import StreamState
@@ -294,6 +294,18 @@ def test_infeasible_prior_window_falls_back_to_cold_start():
     state = fresh.check_last_window(fresh.aggregated())
     assert state.window == 1 and math.isinf(state.roughness)
     assert isinstance(state, SearchState)
+
+def test_check_last_window_discards_a_window_that_smooths_the_panes_flat():
+    st = StreamState(pane_span=1, capacity=40, refresh_interval=10_000)
+    for i, v in enumerate(np.tile([1.0, 2.0, 3.0, 4.0], 10).tolist()):
+        st.ingest(i, v)
+    agg = st.aggregated()
+    st.last_result = SmoothResult(
+        window=4, smoothed=agg, roughness=0.0, kurtosis=1.0, candidates_evaluated=1, strategy="asap"
+    )
+    state = st.check_last_window(agg)
+    assert state.window == 1 and math.isinf(state.roughness)
+
 
 
 def test_explicit_config_caps_stream_window():
