@@ -13,7 +13,7 @@ import sys
 import time
 
 from .generators import GENERATORS
-from .io import iter_rows, read_series, write_series
+from .io import ParseError, iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import (
@@ -93,10 +93,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
         rows = iter_rows(sys.stdin)
         ratio = args.ratio or 1
     else:
-        with open(args.input, encoding="utf-8-sig") as fh:
-            buffered = list(iter_rows(fh))
-        rows = iter(buffered)
-        ratio = args.ratio or max(1, len(buffered) // args.resolution)
+        with open(args.input, encoding="utf-8") as fh:
+            rows = list(iter_rows(fh))
+        ratio = args.ratio or max(1, len(rows) // args.resolution)
     state = StreamState(
         pane_span=ratio,
         capacity=args.resolution,
@@ -108,11 +107,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     for lineno, t, v in rows:
         try:
+            if t is None:
+                raise ValueError(v)  # a row iter_rows could not parse
             state.ingest(t, v)
         except ValueError as exc:
             if args.strict:
-                print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+                raise ParseError(lineno, str(exc)) from exc
             print(f"warning: line {lineno}: dropped ({exc})", file=sys.stderr)
             continue
         consumed += 1
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--resolution", **resolution, help="pane capacity")
     stream.add_argument("--ratio", type=_at_least(1), help="points per pane")
     stream.add_argument("--max-window", **max_window)
-    stream.add_argument("--strict", action="store_true", help="abort on out-of-order or non-finite rows")
+    stream.add_argument("--strict", action="store_true", help="abort on a bad row instead of dropping it")
 
     bench = sub.add_parser("bench", help="compare every strategy on one input")
     bench.set_defaults(handler=cmd_bench)

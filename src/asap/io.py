@@ -8,6 +8,7 @@ file from the first data row. Naive ISO datetimes are read as UTC.
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from itertools import chain
 from math import isfinite
 from typing import Iterable, Iterator, TextIO
 
@@ -53,13 +54,17 @@ def _detect_mode(parts: list[str]) -> tuple[str, bool] | None:
     return None
 
 
-def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
-    """Yield (lineno, timestamp_ms, value) from CSV lines, skipping blanks and
-    one leading header row."""
+def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int | None, float | str]]:
+    """Yield (lineno, timestamp_ms, value) from CSV lines, skipping blanks,
+    one leading header row and a leading byte-order mark. A row that does not
+    parse yields (lineno, None, reason): the consumer stops or drops it."""
+    lines = iter(lines)
+    # str.strip keeps U+FEFF, which would turn the first data row into a header.
+    first = next(lines, "").removeprefix("\ufeff")
     mode: tuple[str, bool] | None = None
     implied_ts = 0
     saw_data = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(chain((first,), lines), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -68,7 +73,7 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
             mode = _detect_mode(parts)
             if mode is None:
                 if saw_data:
-                    raise ParseError(lineno, f"cannot parse row {line!r}")
+                    yield lineno, None, f"cannot parse row {line!r}"
                 saw_data = True  # header consumed; next unparseable row is an error
                 continue
         saw_data = True
@@ -85,19 +90,22 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
                 t = _parse_iso_ms(parts[0]) if iso else int(parts[0])
                 v = float(parts[1])
         except ValueError as exc:
-            raise ParseError(lineno, f"cannot parse row {line!r}: {exc}") from exc
+            yield lineno, None, f"cannot parse row {line!r}: {exc}"
+            continue
         yield lineno, t, v
 
 
 def read_series(source: str | TextIO) -> Series:
     """Parse a whole CSV file (path or open text stream) into a Series."""
     if isinstance(source, str):
-        with open(source, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
+        with open(source, encoding="utf-8") as fh:
             return read_series(fh)
     timestamps: list[int] = []
     values: list[float] = []
     last = -(2**63)
     for lineno, t, v in iter_rows(source):
+        if t is None:
+            raise ParseError(lineno, v)
         # Checked here rather than in iter_rows, which `asap stream` reads: a
         # stream drops such a row with a warning and goes on.
         if not isfinite(v):

@@ -130,11 +130,11 @@ def _prunable(state: SearchState, w: int, corr: np.ndarray) -> bool:
 
 
 def search_periodic(
-    values, profile: AcfProfile, state: SearchState, target_kurtosis: float
+    prefix: np.ndarray, profile: AcfProfile, state: SearchState, target_kurtosis: float
 ) -> SearchState:
-    """Walk ACF peak lags from largest to smallest, pruning as we go; each
-    kept window raises the lower bound the walk stops at."""
-    prefix = _prefix_sums(np.asarray(values, dtype=np.float64))
+    """Walk ACF peak lags from largest to smallest over the series whose
+    _prefix_sums are `prefix`, pruning as we go; each kept window raises the
+    lower bound the walk stops at."""
     corr = profile.correlations
     for w in reversed(profile.peaks):
         if w < state.lower_bound:
@@ -149,15 +149,14 @@ def search_periodic(
 
 
 def binary_search(
-    values, head: int, tail: int, state: SearchState, target_kurtosis: float
+    prefix: np.ndarray, head: int, tail: int, state: SearchState, target_kurtosis: float
 ) -> SearchState:
-    """Probe [head, tail] assuming kurtosis falls and roughness shrinks as the
-    window grows: an infeasible window discards the upper half, a feasible
-    one (kept when it improves on the state) the lower half."""
-    x = np.asarray(values, dtype=np.float64)
-    prefix = _prefix_sums(x)
+    """Probe [head, tail] over the series whose _prefix_sums are `prefix`,
+    assuming kurtosis falls and roughness shrinks as the window grows: an
+    infeasible window discards the upper half, a feasible one (kept when it
+    improves on the state) the lower half."""
     head = max(1, head)
-    tail = min(tail, x.size - 1)
+    tail = min(tail, prefix.size - 2)  # prefix holds one more entry than the series
     while head <= tail:
         mid = (head + tail) // 2
         if _try_window(prefix, mid, state, target_kurtosis)[0]:
@@ -170,11 +169,12 @@ def binary_search(
 def _run(series: Series, strategy: str, search) -> SmoothResult:
     """The frame every strategy shares: fewer than MIN_POINTS points is an
     error, a constant series keeps window 1, and otherwise search(values,
-    target kurtosis) returns the final SearchState."""
+    prefix, target kurtosis) returns the final SearchState; prefix holds the
+    values' _prefix_sums, built once per search."""
     x = series.values
     if x.size < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
-    state = SearchState() if np.all(x == x[0]) else search(x, kurtosis(x))
+    state = SearchState() if np.all(x == x[0]) else search(x, _prefix_sums(x), kurtosis(x))
     w = state.window
     smoothed = smooth_series(series, w) if w > 1 else series
     return SmoothResult(
@@ -199,30 +199,35 @@ def find_window(
 
     max_window caps the candidates through window_cap (None: its default).
     `state` lets a caller seed the search with a window already known to be
-    feasible (the streaming path does this); `profile` lets a caller reuse an
-    already computed autocorrelation profile.
+    feasible (the streaming path does this); a seeded window raises the lower
+    bound just as a window the peak walk keeps does. `profile` lets a caller
+    reuse an already computed autocorrelation profile.
     """
     max_window = window_cap(len(series), max_window)
 
-    def search(x, target):
+    def search(x, prefix, target):
         walk = SearchState() if state is None else state
         acf = profile
         if acf is None:
             acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
         if not acf.peaks:
-            return binary_search(x, 1, max_window, walk, target)
-        search_periodic(x, acf, walk, target)
+            return binary_search(prefix, 1, max_window, walk, target)
+        corr = acf.correlations
+        if 1 < walk.window < corr.size:
+            walk.lower_bound = update_lower_bound(
+                walk.lower_bound, walk.window, float(corr[walk.window]), acf.max_acf
+            )
+        search_periodic(prefix, acf, walk, target)
         head = max(math.ceil(walk.lower_bound), walk.window + 1)
         above = next((p for p in acf.peaks if p > walk.window), max_window)
-        return binary_search(x, head, min(max_window, above), walk, target)
+        return binary_search(prefix, head, min(max_window, above), walk, target)
 
     return _run(series, "asap", search)
 
 
 def _scan(series: Series, windows, strategy: str) -> SmoothResult:
-    def search(x, target):
+    def search(x, prefix, target):
         state = SearchState()
-        prefix = _prefix_sums(x)
         for w in windows:
             _try_window(prefix, w, state, target)
         return state
@@ -248,4 +253,5 @@ def grid_search(series: Series, step: int, max_window: int | None = None) -> Smo
 def binary_only_search(series: Series, max_window: int | None = None) -> SmoothResult:
     """Binary search over the whole window range, no ACF guidance."""
     cap = window_cap(len(series), max_window)
-    return _run(series, "binary", lambda x, target: binary_search(x, 1, cap, SearchState(), target))
+    return _run(series, "binary",
+                lambda x, prefix, target: binary_search(prefix, 1, cap, SearchState(), target))

@@ -16,11 +16,9 @@ from math import isfinite
 
 import numpy as np
 
-from .acf import AcfProfile, autocorrelation, find_peaks
+from .acf import autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
-from .search import (
-    MIN_POINTS, SearchState, SmoothResult, acf_horizon, find_window, update_lower_bound, window_cap,
-)
+from .search import MIN_POINTS, SearchState, SmoothResult, acf_horizon, find_window, window_cap
 from .series import Series
 from .smoothing import sma
 
@@ -98,27 +96,18 @@ class StreamState:
         lo = (self.sealed - n) % self.capacity
         return Series(self.starts[lo : lo + n].copy(), self.sums[lo : lo + n] / self.pane_span)
 
-    def check_last_window(self, aggregated: Series, profile: AcfProfile | None = None) -> SearchState:
+    def check_last_window(self, aggregated: Series) -> SearchState:
         """Seed state for the next search: the previous window with its true
         roughness when it still fits and still satisfies the kurtosis
         constraint, otherwise a fresh state."""
-        fresh = SearchState()
-        last = self.last_result
-        if last is None or last.window <= 1:
-            return fresh
         x = aggregated.values
-        w = last.window
-        if w >= x.size:
-            return fresh
+        w = 1 if self.last_result is None else self.last_result.window
+        if not 1 < w < x.size:
+            return SearchState()
         y = sma(x, w)
         if not kurtosis(y) >= kurtosis(x):  # NaN (w smooths flat) fails too
-            return fresh
-        seeded = SearchState(window=w, roughness=roughness(y))
-        if profile is not None and w < profile.correlations.size:
-            seeded.lower_bound = update_lower_bound(
-                1.0, w, float(profile.correlations[w]), profile.max_acf
-            )
-        return seeded
+            return SearchState()
+        return SearchState(window=w, roughness=roughness(y))
 
     def maybe_refresh(self) -> SmoothResult | None:
         """Re-run the window search when enough new panes have been sealed.
@@ -137,7 +126,7 @@ class StreamState:
             return None
         self.panes_since_refresh = 0
         profile = find_peaks(autocorrelation(x, acf_horizon(x.size, self.max_window)))
-        seed = self.check_last_window(aggregated, profile=profile)
+        seed = self.check_last_window(aggregated)
         result = find_window(aggregated, max_window=self.max_window, state=seed, profile=profile)
         self.last_result = result
         return result

@@ -325,6 +325,42 @@ def test_stream_input_ignores_a_byte_order_mark(tmp_path, capsys, header):
         outputs.append(out)
     assert outputs[0] == outputs[1]
 
+
+def test_stream_stdin_ignores_a_byte_order_mark(monkeypatch, capsys):
+    values = [5.0, 1.0, 4.0, 2.0, 3.0, 1.0, 2.0, 6.0]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + "".join(f"{v}\n" for v in values)))
+    code, _, err = run_cli(["stream", "--stdin", "--refresh", "1", "--resolution", "4"], capsys)
+    assert code == EXIT_OK
+    assert "(8 points, " in err
+
+
+# Line 4 does not parse; every other row is fine.
+UNPARSEABLE_FEED = "1,1\n2,3\n3,2\nabc,4\n5,1\n6,2\n7,5\n8,1\n9,2\n"
+UNPARSEABLE_REASON = "cannot parse row 'abc,4': invalid literal for int() with base 10: 'abc'"
+
+
+@pytest.mark.parametrize("source", ["--stdin", "--input"])
+def test_stream_drops_an_unparseable_row(tmp_path, monkeypatch, capsys, source):
+    path = tmp_path / "bad.csv"
+    path.write_text(UNPARSEABLE_FEED)
+    monkeypatch.setattr("sys.stdin", io.StringIO(UNPARSEABLE_FEED))
+    argv = ["stream", "--stdin"] if source == "--stdin" else ["stream", "--input", str(path)]
+    code, out, err = run_cli(argv + ["--refresh", "1", "--ratio", "1"], capsys)
+    assert code == EXIT_OK
+    assert f"warning: line 4: dropped ({UNPARSEABLE_REASON})" in err
+    assert "(8 points, 5 refreshes)" in err
+    assert len(out.splitlines()) == 5
+
+
+def test_stream_unparseable_row_strict_aborts(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(UNPARSEABLE_FEED))
+    code, _, err = run_cli(
+        ["stream", "--stdin", "--refresh", "1", "--ratio", "1", "--strict"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert err == f"error: line 4: {UNPARSEABLE_REASON}\n"
+
+
 def test_stream_out_of_order_strict_aborts(tmp_path, capsys):
     path = tmp_path / "ooo.csv"
     path.write_text("0,1.0\n1,2.0\n5,1.5\n4,2.5\n6,0.5\n")

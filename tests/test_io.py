@@ -119,6 +119,26 @@ def test_leading_byte_order_mark_is_ignored(tmp_path, header, rows):
     np.testing.assert_array_equal(got.values, expected.values)
     assert got.values.tolist() == [5.0, 1.0, 4.0, 2.0, 3.0]
 
+
+def test_leading_byte_order_mark_on_an_open_stream_is_ignored():
+    # What a piped stdin carries: the mark decoded to U+FEFF, no header.
+    got = read_series(io.StringIO("\ufeff1,5.0\n2,1.0\n3,4.0\n4,2.0\n"))
+    assert got.timestamps.tolist() == [1, 2, 3, 4]
+    assert got.values.tolist() == [5.0, 1.0, 4.0, 2.0]
+
+
+def test_extra_column_in_a_value_only_file_reports_line_number():
+    with pytest.raises(ParseError) as info:
+        read_series(io.StringIO("1.0\n2.0,3.0\n4.0\n"))
+    assert str(info.value) == "line 2: cannot parse row '2.0,3.0': expected 1 column"
+
+
+def test_iter_rows_hands_unparseable_rows_on():
+    rows = list(iter_rows(["1,1.0\n", "abc,4\n", "3,2.0\n"]))
+    assert rows[0] == (1, 1, 1.0) and rows[2] == (3, 3, 2.0)
+    assert rows[1][:2] == (2, None) and rows[1][2].startswith("cannot parse row 'abc,4': ")
+
+
 def test_iter_rows_yields_line_numbers():
     rows = list(iter_rows(["value\n", "1.5\n", "\n", "2.5\n"]))
     assert rows == [(2, 0, 1.5), (4, 1, 2.5)]

@@ -32,6 +32,11 @@ def test_population_std():
     assert population_std([1.0, -1.0, 1.0]) == pytest.approx(STD_1_M1_1, abs=1e-15)
 
 
+def test_population_std_rejects_empty_input():
+    with pytest.raises(ValueError, match="empty input"):
+        population_std([])
+
+
 def test_population_std_divides_by_n():
     # Distinguishes the population convention from the n-1 sample one.
     x = [0.0, 1.0]
@@ -165,6 +170,8 @@ def test_series_validation():
         Series(np.array([1, 2], dtype=np.int64), np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         Series(np.array([1, 2, 3], dtype=np.int64), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Series(np.array([[1, 2]], dtype=np.int64), np.array([[0.0, 1.0]]))
 
 
 def test_series_accepts_timestamps_spanning_the_whole_int64_range():

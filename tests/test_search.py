@@ -23,7 +23,7 @@ from asap.search import (
     window_cap,
 )
 from asap.series import Series
-from asap.smoothing import sma
+from asap.smoothing import _prefix_sums, sma
 
 # sqrt(2)*1/10*sqrt(1 - 1000/990*0.5), computed with plain python floats.
 EST_SIGMA1_N1000_W10_ACF05 = 0.0994936676326182
@@ -88,7 +88,7 @@ def test_search_periodic_matches_unpruned_peak_scan():
         assert profile.peaks, "fixture must have visible periodicity"
 
         state = SearchState()
-        search_periodic(x, profile, state, target_kurtosis=kurtosis(x))
+        search_periodic(_prefix_sums(x), profile, state, target_kurtosis=kurtosis(x))
 
         # Oracle: evaluate every peak with no pruning at all.
         target = kurtosis(x)
@@ -116,7 +116,7 @@ def test_search_periodic_rejects_kurtosis_violations():
     assert profile.peaks
 
     state = SearchState()
-    search_periodic(x, profile, state, target_kurtosis=kurtosis(x))
+    search_periodic(_prefix_sums(x), profile, state, target_kurtosis=kurtosis(x))
     assert state.window == 1
     assert math.isinf(state.roughness)
 
@@ -125,21 +125,21 @@ def test_search_periodic_no_peaks_is_noop():
     x = np.random.default_rng(9).normal(size=500)
     profile = AcfProfile(autocorrelation(x, 50), (), 0.0)
     state = SearchState()
-    search_periodic(x, profile, state, target_kurtosis=kurtosis(x))
+    search_periodic(_prefix_sums(x), profile, state, target_kurtosis=kurtosis(x))
     assert state.window == 1 and state.evaluations == 0
 
 
 def test_binary_search_empty_range_is_noop():
     x = np.random.default_rng(10).normal(size=100)
     state = SearchState()
-    binary_search(x, 5, 4, state, target_kurtosis=kurtosis(x))
+    binary_search(_prefix_sums(x), 5, 4, state, target_kurtosis=kurtosis(x))
     assert state.window == 1 and state.evaluations == 0
 
 
 def test_binary_search_single_candidate():
     x = np.random.default_rng(10).uniform(size=400)
     state = SearchState()
-    binary_search(x, 7, 7, state, target_kurtosis=kurtosis(x))
+    binary_search(_prefix_sums(x), 7, 7, state, target_kurtosis=kurtosis(x))
     assert state.evaluations == 1
     assert state.window in (1, 7)
 
@@ -149,7 +149,7 @@ def test_binary_search_walks_right_when_everything_is_feasible():
     # falls as 1/w, so the probe path ends at the cap and keeps it.
     x = np.random.default_rng(502).uniform(size=5000)
     state = SearchState()
-    binary_search(x, 1, 500, state, target_kurtosis=kurtosis(x))
+    binary_search(_prefix_sums(x), 1, 500, state, target_kurtosis=kurtosis(x))
     assert state.window == 500
     assert state.roughness == pytest.approx(roughness(sma(x, 500)), rel=1e-12)
     assert state.evaluations <= math.ceil(math.log2(500)) + 2
@@ -159,7 +159,7 @@ def test_binary_search_collapses_when_nothing_is_feasible():
     # A lone spike in bounded noise: any smoothing lowers kurtosis.
     x = spike_in_noise(2000, seed=0).values
     state = SearchState()
-    binary_search(x, 1, 200, state, target_kurtosis=kurtosis(x))
+    binary_search(_prefix_sums(x), 1, 200, state, target_kurtosis=kurtosis(x))
     # Every probe above 1 violates the constraint; the floor window remains.
     assert state.window == 1
     assert state.roughness == pytest.approx(roughness(x), rel=1e-12)
