@@ -16,9 +16,7 @@ from .generators import GENERATORS
 from .io import ParseError, iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
-from .search import (
-    MIN_POINTS, SmoothResult, binary_only_search, exhaustive_search, find_window, grid_search,
-)
+from .search import MIN_POINTS, binary_only_search, exhaustive_search, find_window, grid_search
 from .stream import StreamState
 from .svg import render_overlay
 
@@ -74,7 +72,7 @@ def cmd_smooth(args: argparse.Namespace) -> int:
         "kurtosis_after": _json_number(result.kurtosis),
         "candidates_evaluated": result.candidates_evaluated,
         "elapsed_seconds": elapsed,
-        "strategy": result.strategy,
+        "strategy": args.strategy,
     }
     rendered = json.dumps(meta, sort_keys=True, allow_nan=False)
     # Diagnostics first: they must land even if whoever reads stdout hangs up
@@ -139,20 +137,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         series = read_series(args.input)
     aggregated = preaggregate(series, point_to_pixel_ratio(len(series), args.resolution))
-    runs: list[tuple[SmoothResult, float]] = []
-    for search in STRATEGIES.values():
+    runs = {}
+    for name, search in STRATEGIES.items():
         started = time.perf_counter()
         result = search(aggregated, args.max_window)
-        runs.append((result, time.perf_counter() - started))
-    baseline = next(r.roughness for r, _ in runs if r.strategy == "exhaustive")
+        runs[name] = (result, time.perf_counter() - started)
+    baseline = runs["exhaustive"][0].roughness
     print(f"{'strategy':<12}{'window':>8}{'roughness':>14}{'vs_exhaustive':>15}{'candidates':>12}{'ms':>10}")
-    for result, seconds in runs:
+    for name, (result, seconds) in runs.items():
         if baseline > 0:
             rel = result.roughness / baseline
         else:
             rel = 1.0 if result.roughness == baseline else math.inf
         print(
-            f"{result.strategy:<12}{result.window:>8}{result.roughness:>14.6g}"
+            f"{name:<12}{result.window:>8}{result.roughness:>14.6g}"
             f"{rel:>15.4f}{result.candidates_evaluated:>12}{seconds * 1000:>10.2f}"
         )
     return EXIT_OK

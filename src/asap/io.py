@@ -63,7 +63,7 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int | None, float | s
     first = next(lines, "").removeprefix("\ufeff")
     mode: tuple[str, bool] | None = None
     implied_ts = 0
-    saw_data = False
+    saw_header = False
     for lineno, raw in enumerate(chain((first,), lines), start=1):
         line = raw.strip()
         if not line:
@@ -72,11 +72,10 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int | None, float | s
         if mode is None:
             mode = _detect_mode(parts)
             if mode is None:
-                if saw_data:
+                if saw_header:
                     yield lineno, None, f"cannot parse row {line!r}"
-                saw_data = True  # header consumed; next unparseable row is an error
+                saw_header = True  # the next unparseable row is an error
                 continue
-        saw_data = True
         columns, iso = mode
         try:
             if columns == "single":

@@ -9,6 +9,7 @@ which matters at the ~10 calls per window search.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -57,14 +58,14 @@ def kurtosis(values) -> float:
     sq = x - x.sum() / n
     sq *= sq
     m2 = float(sq.sum() / n)
-    if m2 * m2 == 0.0:
-        # Zero, or a spread below ~1e-154 whose m2 * m2 underflows. The ratio
-        # is scale-free, so take it on the deviations scaled to max |dev| = 1.
-        dev = x - x.sum() / n
-        scale = np.abs(dev).max()
-        if scale == 0.0:
+    if m2 * m2 < sys.float_info.min:
+        # Zero, or a spread below ~1e-154 whose m2 * m2 is subnormal. The
+        # ratio is scale-free, so take it on x times the power of two that
+        # brings max |dev| into [0.5, 1), which is exact at any scale.
+        spread = float(np.abs(x - x.sum() / n).max())
+        if spread == 0.0:
             return math.nan
-        return kurtosis(dev / scale)
+        return kurtosis(np.ldexp(x, -math.frexp(spread)[1]))
     sq *= sq
     m4 = float(sq.sum() / n)
     return m4 / (m2 * m2)

@@ -73,7 +73,6 @@ class SmoothResult:
     roughness: float
     kurtosis: float
     candidates_evaluated: int
-    strategy: str
 
 
 def estimate_roughness(sigma: float, n: int, w: int, acf_w: float) -> float:
@@ -124,8 +123,6 @@ def _prunable(state: SearchState, w: int, corr: np.ndarray) -> bool:
     if not math.isfinite(state.roughness):
         return False  # nothing feasible yet, so nothing to compare against
     best_w = state.window
-    if best_w >= corr.size or w >= corr.size:
-        return False
     return is_rougher_estimate(w, float(corr[w]), best_w, float(corr[best_w]))
 
 
@@ -154,9 +151,8 @@ def binary_search(
     """Probe [head, tail] over the series whose _prefix_sums are `prefix`,
     assuming kurtosis falls and roughness shrinks as the window grows: an
     infeasible window discards the upper half, a feasible one (kept when it
-    improves on the state) the lower half."""
-    head = max(1, head)
-    tail = min(tail, prefix.size - 2)  # prefix holds one more entry than the series
+    improves on the state) the lower half. Callers pass 1 <= head and
+    tail <= n - 1 on an n-point series."""
     while head <= tail:
         mid = (head + tail) // 2
         if _try_window(prefix, mid, state, target_kurtosis)[0]:
@@ -166,7 +162,7 @@ def binary_search(
     return state
 
 
-def _run(series: Series, strategy: str, search) -> SmoothResult:
+def _run(series: Series, search) -> SmoothResult:
     """The frame every strategy shares: fewer than MIN_POINTS points is an
     error, a constant series keeps window 1, and otherwise search(values,
     prefix, target kurtosis) returns the final SearchState; prefix holds the
@@ -183,7 +179,6 @@ def _run(series: Series, strategy: str, search) -> SmoothResult:
         roughness=roughness(smoothed.values),
         kurtosis=kurtosis(smoothed.values),
         candidates_evaluated=max(1, state.evaluations),
-        strategy=strategy,
     )
 
 
@@ -201,38 +196,43 @@ def find_window(
     `state` lets a caller seed the search with a window already known to be
     feasible (the streaming path does this); a seeded window raises the lower
     bound just as a window the peak walk keeps does. `profile` lets a caller
-    reuse an already computed autocorrelation profile.
+    reuse an already computed autocorrelation profile. A seed whose window is
+    not in [1, cap], or a profile whose correlations do not end at
+    acf_horizon, is ignored: the search runs as if it had not been given.
     """
     max_window = window_cap(len(series), max_window)
 
     def search(x, prefix, target):
-        walk = SearchState() if state is None else state
+        # Checked once: from here on every window, seeded or a peak, is at
+        # most the cap, so it indexes the correlations and fits the series.
+        walk = state if state is not None and 1 <= state.window <= max_window else SearchState()
+        horizon = acf_horizon(x.size, max_window)
         acf = profile
-        if acf is None:
-            acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
+        if acf is None or acf.correlations.size != horizon + 1:
+            acf = find_peaks(autocorrelation(x, horizon))
         if not acf.peaks:
             return binary_search(prefix, 1, max_window, walk, target)
-        corr = acf.correlations
-        if 1 < walk.window < corr.size:
+        if walk.window > 1:
             walk.lower_bound = update_lower_bound(
-                walk.lower_bound, walk.window, float(corr[walk.window]), acf.max_acf
+                walk.lower_bound, walk.window, float(acf.correlations[walk.window]), acf.max_acf
             )
         search_periodic(prefix, acf, walk, target)
         head = max(math.ceil(walk.lower_bound), walk.window + 1)
+        # Peaks stop one lag short of the horizon, so none lies above the cap.
         above = next((p for p in acf.peaks if p > walk.window), max_window)
-        return binary_search(prefix, head, min(max_window, above), walk, target)
+        return binary_search(prefix, head, above, walk, target)
 
-    return _run(series, "asap", search)
+    return _run(series, search)
 
 
-def _scan(series: Series, windows, strategy: str) -> SmoothResult:
+def _scan(series: Series, windows) -> SmoothResult:
     def search(x, prefix, target):
         state = SearchState()
         for w in windows:
             _try_window(prefix, w, state, target)
         return state
 
-    return _run(series, strategy, search)
+    return _run(series, search)
 
 
 def exhaustive_search(series: Series, max_window: int | None = None) -> SmoothResult:
@@ -240,18 +240,17 @@ def exhaustive_search(series: Series, max_window: int | None = None) -> SmoothRe
 
     The reference answer the pruned search is judged against.
     """
-    return _scan(series, range(1, window_cap(len(series), max_window) + 1), "exhaustive")
+    return _scan(series, range(1, window_cap(len(series), max_window) + 1))
 
 
 def grid_search(series: Series, step: int, max_window: int | None = None) -> SmoothResult:
     """Exhaustive scan restricted to windows 1, 1+step, 1+2*step, ..."""
     if step < 1:
         raise ValueError("step must be >= 1")
-    return _scan(series, range(1, window_cap(len(series), max_window) + 1, step), f"grid{step}")
+    return _scan(series, range(1, window_cap(len(series), max_window) + 1, step))
 
 
 def binary_only_search(series: Series, max_window: int | None = None) -> SmoothResult:
     """Binary search over the whole window range, no ACF guidance."""
     cap = window_cap(len(series), max_window)
-    return _run(series, "binary",
-                lambda x, prefix, target: binary_search(prefix, 1, cap, SearchState(), target))
+    return _run(series, lambda x, prefix, target: binary_search(prefix, 1, cap, SearchState(), target))

@@ -82,6 +82,15 @@ def test_kurtosis_survives_spreads_whose_moments_underflow(scale):
     assert kurtosis(scale * x) == pytest.approx(kurtosis(x), rel=1e-12)
     assert math.isnan(kurtosis(np.full(40, scale)))
 
+@pytest.mark.parametrize("k", [-500, -400, -300, -260, 200, 250])
+def test_kurtosis_is_exact_under_a_power_of_two_scale(k):
+    # At 2**-260 m2 * m2 is subnormal; further down it is 0.
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        x = rng.standard_t(3, size=200)
+        assert kurtosis(np.ldexp(x, k)) == kurtosis(x)
+
+
 def test_kurtosis_reference_distributions():
     rng = np.random.default_rng(2)
     assert kurtosis(rng.normal(size=1_000_000)) == pytest.approx(3.0, abs=0.05)

@@ -301,7 +301,7 @@ def test_check_last_window_discards_a_window_that_smooths_the_panes_flat():
         st.ingest(i, v)
     agg = st.aggregated()
     st.last_result = SmoothResult(
-        window=4, smoothed=agg, roughness=0.0, kurtosis=1.0, candidates_evaluated=1, strategy="asap"
+        window=4, smoothed=agg, roughness=0.0, kurtosis=1.0, candidates_evaluated=1
     )
     state = st.check_last_window(agg)
     assert state.window == 1 and math.isinf(state.roughness)
