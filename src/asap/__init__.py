@@ -5,7 +5,7 @@ keeping kurtosis at or above the raw series, so smoothing never hides
 outliers or regime shifts. Includes pixel-aware preaggregation for large
 inputs and a pane-based streaming mode.
 """
-from .acf import AcfProfile, autocorrelation, find_peaks
+from .acf import autocorrelation, find_peaks
 from .metrics import kurtosis, roughness, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import (
@@ -25,7 +25,6 @@ from .stream import StreamState
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcfProfile",
     "SearchState",
     "Series",
     "SmoothResult",

@@ -13,7 +13,7 @@ import sys
 import time
 
 from .generators import GENERATORS
-from .io import ParseError, iter_rows, read_series, write_series
+from .io import DECODING, ParseError, iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import MIN_POINTS, binary_only_search, exhaustive_search, find_window, grid_search
@@ -88,10 +88,12 @@ def cmd_smooth(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     if args.stdin:
+        if hasattr(sys.stdin, "reconfigure"):  # an io.StringIO is text already
+            sys.stdin.reconfigure(**DECODING)
         rows = iter_rows(sys.stdin)
         ratio = args.ratio or 1
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, **DECODING) as fh:
             rows = list(iter_rows(fh))
         ratio = args.ratio or max(1, len(rows) // args.resolution)
     state = StreamState(

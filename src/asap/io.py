@@ -17,6 +17,12 @@ import numpy as np
 from .series import Series
 
 
+# How every input source is decoded: a byte that is not UTF-8 becomes a lone
+# surrogate, so its row fails to parse with a line number instead of ending
+# the read.
+DECODING = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+
 class ParseError(ValueError):
     """Bad input data; carries the 1-based line number."""
 
@@ -97,7 +103,7 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int | None, float | s
 def read_series(source: str | TextIO) -> Series:
     """Parse a whole CSV file (path or open text stream) into a Series."""
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, **DECODING) as fh:
             return read_series(fh)
     timestamps: list[int] = []
     values: list[float] = []

@@ -183,33 +183,28 @@ def _run(series: Series, search) -> SmoothResult:
 
 
 def find_window(
-    series: Series,
-    *,
-    max_window: int | None = None,
-    state: SearchState | None = None,
-    profile: AcfProfile | None = None,
+    series: Series, *, max_window: int | None = None, state: SearchState | None = None
 ) -> SmoothResult:
     """Pick the smoothing window with the pruned ACF-peak search plus a binary
     fallback over the uncovered gap.
 
     max_window caps the candidates through window_cap (None: its default).
     `state` lets a caller seed the search with a window already known to be
-    feasible (the streaming path does this); a seeded window raises the lower
-    bound just as a window the peak walk keeps does. `profile` lets a caller
-    reuse an already computed autocorrelation profile. A seed whose window is
-    not in [1, cap], or a profile whose correlations do not end at
-    acf_horizon, is ignored: the search runs as if it had not been given.
+    feasible and its roughness (the streaming path does this); a seeded
+    window raises the lower bound just as a window the peak walk keeps does.
+    Only the seed's window and roughness are read, and the seed is left as
+    it is. A seed whose window is not in [1, cap] is ignored: the search
+    runs as if it had not been given.
     """
     max_window = window_cap(len(series), max_window)
 
     def search(x, prefix, target):
         # Checked once: from here on every window, seeded or a peak, is at
         # most the cap, so it indexes the correlations and fits the series.
-        walk = state if state is not None and 1 <= state.window <= max_window else SearchState()
-        horizon = acf_horizon(x.size, max_window)
-        acf = profile
-        if acf is None or acf.correlations.size != horizon + 1:
-            acf = find_peaks(autocorrelation(x, horizon))
+        walk = SearchState()
+        if state is not None and 1 <= state.window <= max_window:
+            walk = SearchState(window=state.window, roughness=state.roughness)
+        acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
         if not acf.peaks:
             return binary_search(prefix, 1, max_window, walk, target)
         if walk.window > 1:

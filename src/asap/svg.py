@@ -20,8 +20,10 @@ def render_overlay(raw: Series, smoothed: Series, width: int) -> str:
     if width < 2:
         raise ValueError("width must be >= 2")
     height = max(120, width // 2)
-    t0 = min(raw.timestamps.min(), smoothed.timestamps.min())
-    t1 = max(raw.timestamps.max(), smoothed.timestamps.max())
+    # float64 spans: an int64 t1 - t0 overflows once timestamps span 2**63 ms,
+    # and every timestamp below 2**53 converts exactly.
+    t0 = float(min(raw.timestamps.min(), smoothed.timestamps.min()))
+    t1 = float(max(raw.timestamps.max(), smoothed.timestamps.max()))
     v0 = float(min(raw.values.min(), smoothed.values.min()))
     v1 = float(max(raw.values.max(), smoothed.values.max()))
     raw_pts = _points(raw, t0, t1, v0, v1, width, height)

@@ -352,6 +352,33 @@ def test_stream_drops_an_unparseable_row(tmp_path, monkeypatch, capsys, source):
     assert len(out.splitlines()) == 5
 
 
+# Line 3 holds a byte that is not UTF-8; every other row is fine.
+UNDECODABLE_FEED = b"1,1\n2,3\n3,\xff3.0\n4,4\n5,1\n6,2\n7,5\n8,1\n9,2\n"
+
+
+@pytest.mark.parametrize("source", ["--stdin", "--input"])
+def test_stream_drops_a_row_that_is_not_utf8(tmp_path, monkeypatch, capsys, source):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(UNDECODABLE_FEED)
+    # A strict decoder, so the read itself does not forgive the byte.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(UNDECODABLE_FEED), encoding="utf-8"))
+    argv = ["stream", "--stdin"] if source == "--stdin" else ["stream", "--input", str(path)]
+    code, out, err = run_cli(argv + ["--refresh", "1", "--ratio", "1"], capsys)
+    assert code == EXIT_OK, err
+    assert "warning: line 3: dropped (cannot parse row '3,\\udcff3.0'" in err
+    assert "(8 points, 5 refreshes)" in err
+    assert len(out.splitlines()) == 5
+
+
+def test_smooth_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(UNDECODABLE_FEED)
+    code, out, err = run_cli(["smooth", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: line 3: cannot parse row '3,\\udcff3.0'")
+
+
 def test_stream_unparseable_row_strict_aborts(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(UNPARSEABLE_FEED))
     code, _, err = run_cli(

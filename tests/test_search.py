@@ -246,6 +246,22 @@ def test_seeded_state_does_not_change_the_answer():
     assert warm.candidates_evaluated <= cold.candidates_evaluated
 
 
+def test_a_seed_is_read_not_written():
+    # Only the seed's window and roughness reach the search: the object is
+    # left as built, so reusing it repeats the answer and the count, and a
+    # caller's lower bound or evaluation count does not leak in.
+    s = GENERATORS["sine"](800, 0)
+    cold = find_window(s)
+    seed = SearchState(window=cold.window, roughness=cold.roughness)
+    built = SearchState(window=cold.window, roughness=cold.roughness)
+    runs = [find_window(s, state=seed) for _ in range(2)]
+    assert [(r.window, r.candidates_evaluated) for r in runs] == [(64, 5), (64, 5)]
+    assert seed == built
+    stale = SearchState(window=cold.window, roughness=cold.roughness, lower_bound=500.0, evaluations=7)
+    got = find_window(s, state=stale)
+    assert (got.window, got.candidates_evaluated) == (64, 5)
+
+
 def test_exhaustive_search_counts_every_candidate():
     s = uniform(800, seed=6)
     res = exhaustive_search(s, max_window=80)
@@ -349,17 +365,14 @@ def test_searches_stay_within_the_cap_whatever_seed_or_profile_they_get(shape, c
     n, c = len(s), window_cap(len(s), cap)
     for search in STRATEGIES.values():
         assert 1 <= search(s, cap).window <= c
-    # find_window searches around a seed outside [1, cap] or a profile
-    # reaching past acf_horizon as if it had not been given. The seeded
-    # roughness is far below any real one, so a seed that were used would win.
+    # find_window searches around a seed outside [1, cap] as if it had not
+    # been given. The seeded roughness is far below any real one, so a seed
+    # that were used would win.
     plain = find_window(s, max_window=cap)
     want = (plain.window, plain.candidates_evaluated, plain.roughness)
     for w in (0, -3, c + 1, n - 1, n + 100):
         got = find_window(s, max_window=cap, state=SearchState(window=w, roughness=1e-9))
         assert (got.window, got.candidates_evaluated, got.roughness) == want, w
-    wide = _profile(s.values, min(10 * c, n - 1))
-    got = find_window(s, max_window=cap, profile=wide)
-    assert (got.window, got.candidates_evaluated, got.roughness) == want
 
 
 @pytest.mark.parametrize("k", [-500, -400, -300, -260, 200, 250])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
-from asap.generators import noisy_sine
+from asap.generators import GENERATORS, noisy_sine
 from asap.metrics import roughness
 from asap.preagg import preaggregate
 from asap.search import SearchState, SmoothResult, find_window
@@ -271,6 +271,34 @@ def test_seeding_never_changes_the_refresh_answer():
     cold = find_window(agg)
     warm = find_window(agg, state=st.check_last_window(agg))
     assert warm.window == cold.window
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    shape=strategies.sampled_from(sorted(GENERATORS)),
+    pane_span=strategies.integers(1, 4),
+    capacity=strategies.integers(4, 120),
+    refresh_interval=strategies.integers(1, 30),
+    cap=strategies.none() | strategies.integers(1, 40),
+)
+def test_a_refresh_is_the_seeded_search(shape, pane_span, capacity, refresh_interval, cap):
+    # A refresh adds nothing to find_window but the previous window as a
+    # seed: same window, same count, same roughness bits.
+    series = GENERATORS[shape](480, 0)
+    st = StreamState(pane_span, capacity, refresh_interval, max_window=cap)
+    refreshes = 0
+    for t, v in zip(series.timestamps.tolist(), series.values.tolist()):
+        st.ingest(t, v)
+        agg = st.aggregated()
+        seed = st.check_last_window(agg)
+        got = st.maybe_refresh()
+        if got is None:
+            continue
+        refreshes += 1
+        want = find_window(agg, max_window=cap, state=seed)
+        assert (got.window, got.candidates_evaluated) == (want.window, want.candidates_evaluated)
+        assert got.roughness.hex() == want.roughness.hex()
+    assert refreshes >= 1
 
 
 def test_infeasible_prior_window_falls_back_to_cold_start():

@@ -44,6 +44,16 @@ def test_overlay_handles_constant_values():
             assert 0 <= x <= 300 and 0 <= y <= 150
 
 
+def test_overlay_x_stays_inside_the_plot_across_the_whole_int64_range():
+    ts = np.array([-(2**63), -(2**62), 0, 2**62, 2**63 - 1], dtype=np.int64)
+    s = Series(ts, np.array([1.0, 3.0, 2.0, 5.0, 4.0]))
+    width = 400
+    for line in _polylines(render_overlay(s, s, width=width)):
+        xs = [float(pair.split(",")[0]) for pair in line.get("points").split()]
+        assert all(10 <= x <= width - 10 for x in xs), xs
+        assert xs == sorted(xs)
+
+
 def test_overlay_rejects_degenerate_width():
     with pytest.raises(ValueError):
         render_overlay(Series.from_values([1.0, 2.0]), Series.from_values([1.0, 2.0]), width=1)
