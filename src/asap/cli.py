@@ -11,9 +11,10 @@ import math
 import os
 import sys
 import time
+from typing import Iterable
 
 from .generators import GENERATORS
-from .io import DECODING, ParseError, iter_rows, read_series, write_series
+from .io import DECODING, ParseError, count_rows, iter_rows, read_series, write_series
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import MIN_POINTS, binary_only_search, exhaustive_search, find_window, grid_search
@@ -90,12 +91,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.stdin:
         if hasattr(sys.stdin, "reconfigure"):  # an io.StringIO is text already
             sys.stdin.reconfigure(**DECODING)
-        rows = iter_rows(sys.stdin)
-        ratio = args.ratio or 1
-    else:
-        with open(args.input, **DECODING) as fh:
-            rows = list(iter_rows(fh))
-        ratio = args.ratio or max(1, len(rows) // args.resolution)
+        return _replay(iter_rows(sys.stdin), args.ratio or 1, args)
+    with open(args.input, **DECODING) as fh:
+        # Two passes, so memory stays O(capacity): count the rows, then stream them.
+        ratio = args.ratio or max(1, count_rows(fh) // args.resolution)
+        fh.seek(0)
+        return _replay(iter_rows(fh), ratio, args)
+
+
+def _replay(
+    rows: Iterable[tuple[int, int | None, float | str]], ratio: int, args: argparse.Namespace
+) -> int:
+    """Feed rows through a StreamState, printing one JSON line per refresh."""
     state = StreamState(
         pane_span=ratio,
         capacity=args.resolution,

@@ -4,10 +4,16 @@ Accepted input: optional header row, then either `timestamp,value` rows or a
 single value column (timestamps become 0, 1, 2, ...). Timestamps are integer
 epoch milliseconds or ISO-8601 datetimes; the format is detected once per
 file from the first data row. Naive ISO datetimes are read as UTC.
+
+`iter_rows` is the definition of that format and words every error.
+`read_series` first hands a plain numeric file (see `_load_plain`) to numpy's
+C loader and keeps its arrays only when they are what `iter_rows` would give;
+anything else goes through `iter_rows`.
 """
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import warnings
+from datetime import datetime, timedelta, timezone
 from itertools import chain
 from math import isfinite
 from typing import Iterable, Iterator, TextIO
@@ -21,6 +27,15 @@ from .series import Series
 # surrogate, so its row fails to parse with a line number instead of ending
 # the read.
 DECODING = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+
+# numpy dtype for each first-row mode `_load_plain` takes; ISO takes none.
+PLAIN_DTYPES = {
+    ("double", False): [("t", np.int64), ("v", np.float64)],
+    ("single", False): np.float64,
+}
 
 
 class ParseError(ValueError):
@@ -38,7 +53,12 @@ def _parse_iso_ms(text: str) -> int:
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return round(dt.timestamp() * 1000)
+    # Integer microseconds: dt.timestamp() * 1000 rounds through a float and
+    # is off by one for some sub-millisecond times far from 1970.
+    ms, us = divmod((dt - EPOCH) // MICROSECOND, 1000)
+    # Half to even, as round() does. `ms` itself when not rounding up: `ms + 0`
+    # would allocate a larger int per row (+4 MB on 250k ISO rows).
+    return ms + 1 if us > 500 or (us == 500 and ms % 2) else ms
 
 
 def _detect_mode(parts: list[str]) -> tuple[str, bool] | None:
@@ -100,11 +120,66 @@ def iter_rows(lines: Iterable[str]) -> Iterator[tuple[int, int | None, float | s
         yield lineno, t, v
 
 
+def count_rows(lines: Iterable[str]) -> int:
+    """len(list(iter_rows(lines))), without parsing past the first row:
+    from its first row on, iter_rows yields one row per non-blank line."""
+    lines = iter(lines)
+    if next(iter_rows(lines), None) is None:
+        return 0
+    return 1 + sum(1 for line in lines if line.strip())
+
+
+def _load_plain(fh: TextIO) -> Series | None:
+    """The file from the current position through one `np.loadtxt` call, or
+    None to leave it to the line parser.
+
+    Taken only for a plain shape: no byte-order mark, at most one line before
+    the first data row (a header, which `_detect_mode` rejects), and a first
+    data row of integer-ms or value-only form. The result is kept only when
+    numpy raises nothing, warns nothing (numpy 1.x only warns when it
+    truncates `5.0` into an int column) and `Series` accepts it; `Series`
+    checks the values finite and the timestamps in order. On every such file
+    `iter_rows` reads the same rows (tests/test_io.py checks this)."""
+    for _ in range(2):
+        start = fh.tell()
+        line = fh.readline()
+        if line.startswith("\ufeff"):
+            return None
+        mode = _detect_mode(line.strip().split(","))
+        if mode is not None:
+            break
+    dtype = PLAIN_DTYPES.get(mode)
+    if dtype is None:
+        return None
+    fh.seek(start)  # the table holds the data row just read, so it is never empty
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        if mode[0] == "single":
+            return Series(np.arange(table.size, dtype=np.int64), table)
+        return Series(table["t"], table["v"])
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
 def read_series(source: str | TextIO) -> Series:
     """Parse a whole CSV file (path or open text stream) into a Series."""
     if isinstance(source, str):
         with open(source, **DECODING) as fh:
             return read_series(fh)
+    if source.seekable():
+        start = source.tell()
+        series = _load_plain(source)
+        if series is not None:
+            return series
+        source.seek(start)
+    return _parse_lines(source)
+
+
+def _parse_lines(source: Iterable[str]) -> Series:
+    """The line parser: every row through `iter_rows`, with its line-numbered
+    errors."""
     timestamps: list[int] = []
     values: list[float] = []
     last = -(2**63)

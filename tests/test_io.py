@@ -1,10 +1,17 @@
 """CSV reading and writing: formats, line numbers, round trips."""
 import io
+from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asap.io import ParseError, iter_rows, read_series, write_series
+import asap.io
+from asap.io import (
+    DECODING, EPOCH, ParseError, _parse_iso_ms, _parse_lines, count_rows, iter_rows, read_series, write_series,
+)
 from asap.series import Series
 
 EPOCH_2021_MS = 1_609_459_200_000  # 2021-01-01T00:00:00Z
@@ -159,3 +166,130 @@ def test_write_read_round_trip_is_exact():
     second = io.StringIO()
     write_series(back, second)
     assert second.getvalue() == text
+
+
+@pytest.mark.parametrize("text,expected", [
+    # dt.timestamp() * 1000 rounds these through a float to ...734 and ...846.
+    ("7100-06-14T19:20:15.733479Z", 161_901_400_815_733),
+    ("0002-02-02T22:54:05.154506+00:00", -62_101_213_554_845),
+    # Exact halves round to even, as round() does.
+    ("2021-01-01T00:00:00.0005Z", EPOCH_2021_MS),
+    ("2021-01-01T00:00:00.0015Z", EPOCH_2021_MS + 2),
+    ("1969-12-31T23:59:59.9995Z", 0),
+])
+def test_iso_milliseconds_round_exactly(text, expected):
+    assert _parse_iso_ms(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+    st.sampled_from(["Z", "+00:00", "", "-07:30", "+14:00"]),
+)
+def test_iso_milliseconds_match_exact_rational_rounding(naive, suffix):
+    text = naive.isoformat(timespec="microseconds") + suffix
+    aware = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if aware.tzinfo is None:
+        aware = aware.replace(tzinfo=timezone.utc)
+    delta = aware - EPOCH
+    micros = (delta.days * 86_400 + delta.seconds) * 10**6 + delta.microseconds
+    assert _parse_iso_ms(text) == round(Fraction(micros, 1000))
+
+
+# Differential check of read_series's numpy fast path against the line parser:
+# both must give the same rows, to the bit, or the same error text.
+TRICKY = [
+    "1_0", "\u0663", "5.0", "1e3", "inf", "-inf", "nan", "1e999", "1e-400",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "+7", "-0.0", ".5", "5.", "0x10", "1d3", "1j",
+    "\x0c", "\x0c3", "3\x0c", " 4 ", "\t", "", " ", "abc", "\x00", "3\x00",
+    "\udcff", "\x1c2", "2\xa0", "\u2028", "2021-01-01T00:00:00Z", '"1"', "1#2",
+]
+HEADERS = ["timestamp,value", "value", "t,v,w", "\ufeff1,2", "\ufefftimestamp,value"]
+BLANKS = ["", " \t", "\x0c"]
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}.{}e{}".format, st.integers(-(10**20), 10**20), st.integers(0, 10**25), st.integers(-99, 99)),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    columns = draw(st.sampled_from([1, 2, 2, 3]))
+    dirt = draw(st.sampled_from([0, 0, 1, 3, 10]))  # in 10: the share of rows that are not clean
+    lines = [draw(st.sampled_from(HEADERS))] if draw(st.booleans()) else []
+    t = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**63), 2**63 - 1)))
+    for _ in range(draw(st.integers(1, 8))):
+        t += draw(st.integers(0, 1000))
+        fields = [str(t)] if columns >= 2 else []
+        fields += [draw(NUMBER) for _ in range(max(1, columns - 1))]
+        if draw(st.integers(0, 9)) < dirt:
+            choice = draw(st.integers(0, 3))
+            if choice == 0:
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TRICKY))
+            elif choice == 1:
+                fields = fields[:-1] if len(fields) > 1 else fields + ["1"]
+            elif choice == 2 and columns >= 2:
+                fields[0] = str(t - draw(st.integers(1001, 1005)))  # below the row before
+            elif choice == 3:
+                lines.append(draw(st.sampled_from(BLANKS + HEADERS)))
+        lines.append(",".join(fields))
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return bom + ending.join(lines) + (ending if draw(st.booleans()) else "")
+
+
+def _outcome(read):
+    try:
+        series = read()
+    except ParseError as exc:
+        return str(exc)
+    return series.timestamps.tolist(), [v.hex() for v in series.values.tolist()]
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=csv_texts())
+def test_read_series_equals_the_line_parser(text, tmp_path_factory):
+    assert _outcome(lambda: read_series(io.StringIO(text))) == _outcome(lambda: _parse_lines(io.StringIO(text)))
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with open(path, **DECODING) as fh:
+        expected = _outcome(lambda: _parse_lines(fh))
+    assert _outcome(lambda: read_series(str(path))) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts())
+def test_count_rows_counts_what_iter_rows_yields(text):
+    assert count_rows(io.StringIO(text)) == len(list(iter_rows(io.StringIO(text))))
+
+
+@pytest.mark.parametrize("text", [
+    "timestamp,value\n1000,1.5\n2000,-2.5\n2000,0.1\n",
+    "value\n1.5\n-2.5\n1e3\n",
+    "7,0.5\n8,0.25\n",
+    "0.5\n0.25\n",
+])
+def test_plain_files_load_without_the_line_parser(tmp_path, monkeypatch, text):
+    expected = _parse_lines(io.StringIO(text))
+    path = tmp_path / "plain.csv"
+    path.write_text(text)
+
+    def no_line_parser(lines):
+        raise AssertionError("the line parser ran on a plain file")
+
+    monkeypatch.setattr(asap.io, "iter_rows", no_line_parser)
+    for got in (read_series(io.StringIO(text)), read_series(str(path))):
+        assert got.timestamps.tolist() == expected.timestamps.tolist()
+        assert got.values.tolist() == expected.values.tolist()
+
+
+def test_iso_files_never_reach_numpys_loader(tmp_path, monkeypatch):
+    path = tmp_path / "iso.csv"
+    path.write_text("timestamp,value\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:00:01Z,2.0\n")
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt ran on an ISO file")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    assert read_series(str(path)).timestamps.tolist() == [EPOCH_2021_MS, EPOCH_2021_MS + 1000]
