@@ -1,6 +1,6 @@
 """CSV reading and writing: formats, line numbers, round trips."""
 import io
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -176,24 +176,43 @@ def test_write_read_round_trip_is_exact():
     ("2021-01-01T00:00:00.0005Z", EPOCH_2021_MS),
     ("2021-01-01T00:00:00.0015Z", EPOCH_2021_MS + 2),
     ("1969-12-31T23:59:59.9995Z", 0),
+    # Digits past the microsecond count: 0.5001 ms is above the half.
+    ("2024-01-01T00:00:00.000500100Z", 1_704_067_200_001),
+    ("2024-01-01T00:00:00.0005001Z", 1_704_067_200_001),
 ])
 def test_iso_milliseconds_round_exactly(text, expected):
     assert _parse_iso_ms(text) == expected
 
 
+def _fractions(places):
+    """Fraction digits (an int below 10**places), often half a millisecond
+    or just above it."""
+    if places < 4:
+        return st.integers(0, 10**places - 1)
+    half = 5 * 10 ** (places - 4)
+    near_half = st.builds(lambda ms, up: ms * 10 ** (places - 3) + half + up, st.integers(0, 999), st.integers(0, 1))
+    return st.one_of(st.integers(0, 10**places - 1), near_half)
+
+
+def _iso_stamp(t, places, fraction, suffix):
+    return t.isoformat() + (f".{fraction:0{places}d}" if places else "") + suffix
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
-    st.sampled_from(["Z", "+00:00", "", "-07:30", "+14:00"]),
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)).map(lambda t: t.replace(microsecond=0)),
+    st.integers(0, 9).flatmap(lambda places: st.tuples(st.just(places), _fractions(places))),
+    st.sampled_from(["Z", "z", "+00:00", "", "-07:30", "+14:00"]),
 )
-def test_iso_milliseconds_match_exact_rational_rounding(naive, suffix):
-    text = naive.isoformat(timespec="microseconds") + suffix
-    aware = datetime.fromisoformat(text.replace("Z", "+00:00"))
+def test_iso_milliseconds_match_exact_rational_rounding(naive, fraction, suffix):
+    places, digits = fraction
+    text = _iso_stamp(naive, places, digits, suffix)
+    aware = datetime.fromisoformat(naive.isoformat() + suffix.upper().replace("Z", "+00:00"))
     if aware.tzinfo is None:
         aware = aware.replace(tzinfo=timezone.utc)
     delta = aware - EPOCH
-    micros = (delta.days * 86_400 + delta.seconds) * 10**6 + delta.microseconds
-    assert _parse_iso_ms(text) == round(Fraction(micros, 1000))
+    seconds = delta.days * 86_400 + delta.seconds + Fraction(digits, 10**places)
+    assert _parse_iso_ms(text) == round(seconds * 1000)
 
 
 # Differential check of read_series's numpy fast path against the line parser:
@@ -213,27 +232,86 @@ NUMBER = st.one_of(
 )
 
 
+# ISO files start at a random second or at a midnight at the end of February:
+# most in century years that are common years, where Feb 29 is invalid.
+ISO_STARTS = st.one_of(
+    st.datetimes(min_value=datetime(1, 2, 2), max_value=datetime(9990, 12, 30)).map(lambda t: t.replace(microsecond=0)),
+    st.builds(
+        lambda year, back: datetime(year, 3, 1) - timedelta(days=back),
+        st.sampled_from([1700, 1800, 1900, 2100, 2200, 2300, 2000, 2023, 2024]), st.sampled_from([0, 0, 1]),
+    ),
+)
+
+
+def _iso_near_misses(t, text, places):
+    """Timestamps outside the plain ISO shape, made from `text`, the row's
+    plain stamp for time `t`; two draws in three are stamps that a reader
+    skipping one range check could take for `t`."""
+    fraction = text[19 : 20 + places] if places else ""
+    suffix = text[19 + len(fraction) :]
+    last_month = t.replace(day=1) - timedelta(days=1)
+    day_after, day_before, hour_before, minute_before = (
+        t + timedelta(**{unit: sign}) for unit, sign in (("days", 1), ("days", -1), ("hours", -1), ("minutes", -1))
+    )
+    misses = [
+        text[:19] + fraction + "+05:30", text[:10] + " " + text[11:], text[:10] + "t" + text[11:],
+        " " + text + " ", text[:19] + (fraction or ".") + "5" + suffix, text + "9", text + "\x00",
+        "\u0663" + text[1:], str(t.second), "0000" + text[4:],
+    ]
+    aliases = [
+        f"{last_month.isoformat()[:8]}{last_month.day + t.day}{text[10:]}",  # past the month's end; leap years
+        f"{t.year - 1:04}-{t.month + 12}{text[7:]}",  # month 13 or 14
+        f"{day_after.isoformat()[:8]}00{text[10:]}",  # day 0
+        f"{day_before.isoformat()[:11]}{t.hour + 24}{text[13:]}",  # hour 24 and up
+        f"{hour_before.isoformat()[:14]}{t.minute + 60}{text[16:]}",  # minute 60 and up
+        f"{minute_before.isoformat()[:17]}{t.second + 60}{text[19:]}",  # second 60 and up
+    ]
+    return st.one_of(st.sampled_from(misses), st.sampled_from(aliases), st.sampled_from(aliases))
+
+
 @st.composite
 def csv_texts(draw):
-    columns = draw(st.sampled_from([1, 2, 2, 3]))
-    dirt = draw(st.sampled_from([0, 0, 1, 3, 10]))  # in 10: the share of rows that are not clean
+    iso = draw(st.booleans())  # timestamps in one plain ISO shape per file
+    near_miss = iso and draw(st.booleans())  # one stamp replaced at the end, in a file clean otherwise
+    columns = 2 if iso else draw(st.sampled_from([1, 2, 2, 3]))
+    dirt = 0 if near_miss else draw(st.sampled_from([0, 0, 1, 3, 10]))  # in 10: the share of rows that are not clean
     lines = [draw(st.sampled_from(HEADERS))] if draw(st.booleans()) else []
-    t = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**63), 2**63 - 1)))
+    if iso:
+        t, places, suffix = draw(ISO_STARTS), draw(st.integers(0, 9)), draw(st.sampled_from(["", "Z", "z", "+00:00"]))
+
+        def stamp(t):
+            return _iso_stamp(t, places, draw(_fractions(places)), suffix)
+
+        def step():  # at least a second, so that rows stay in order whatever their fractions
+            return timedelta(seconds=draw(st.integers(1, 10 ** draw(st.sampled_from([0, 2, 4, 6])))))
+    else:
+        t = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**63), 2**63 - 1)))
+        stamp = str
+
+        def step():
+            return draw(st.integers(0, 1000))
+    rows = []  # (index in lines, time, stamp, the other fields) of each data row
     for _ in range(draw(st.integers(1, 8))):
-        t += draw(st.integers(0, 1000))
-        fields = [str(t)] if columns >= 2 else []
+        t += step()
+        fields = [stamp(t)] if columns >= 2 else []
         fields += [draw(NUMBER) for _ in range(max(1, columns - 1))]
+        clean = fields[:]
         if draw(st.integers(0, 9)) < dirt:
             choice = draw(st.integers(0, 3))
             if choice == 0:
-                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TRICKY))
+                at = draw(st.integers(0, len(fields) - 1))
+                fields[at] = draw(_iso_near_misses(t, fields[0], places) if iso and at == 0 else st.sampled_from(TRICKY))
             elif choice == 1:
                 fields = fields[:-1] if len(fields) > 1 else fields + ["1"]
             elif choice == 2 and columns >= 2:
-                fields[0] = str(t - draw(st.integers(1001, 1005)))  # below the row before
+                fields[0] = stamp(t - (timedelta(days=1) if iso else draw(st.integers(1001, 1005))))  # below the row before
             elif choice == 3:
                 lines.append(draw(st.sampled_from(BLANKS + HEADERS)))
+        rows.append((len(lines), t, clean[0], clean[1:]))
         lines.append(",".join(fields))
+    if near_miss and len(rows) > 1:
+        at, t, text, rest = draw(st.sampled_from(rows[1:]))  # the first data row decides the format
+        lines[at] = ",".join([draw(_iso_near_misses(t, text, places))] + rest)
     ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
     bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
     return bom + ending.join(lines) + (ending if draw(st.booleans()) else "")
@@ -247,7 +325,7 @@ def _outcome(read):
     return series.timestamps.tolist(), [v.hex() for v in series.values.tolist()]
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=1500, deadline=None)
 @given(text=csv_texts())
 def test_read_series_equals_the_line_parser(text, tmp_path_factory):
     assert _outcome(lambda: read_series(io.StringIO(text))) == _outcome(lambda: _parse_lines(io.StringIO(text)))
@@ -284,12 +362,44 @@ def test_plain_files_load_without_the_line_parser(tmp_path, monkeypatch, text):
         assert got.values.tolist() == expected.values.tolist()
 
 
-def test_iso_files_never_reach_numpys_loader(tmp_path, monkeypatch):
+@pytest.mark.parametrize("text", [
+    "timestamp,value\n2021-01-01T00:00:00Z,1.5\n2021-01-01T00:00:01Z,-2.5\n2021-01-01T00:00:01Z,0.1\n",
+    "2024-02-29T23:59:59.999z,1.0\n2024-03-01T00:00:00.001z,2.0\n",
+    # 9 digits and "+00:00": the longest plain stamp, 35 characters.
+    "1900-02-28T23:59:59.999999999+00:00,1\n1900-03-01T00:00:00.000500000+00:00,2\n"
+    "2000-02-29T12:00:00.000500001+00:00,3\n",
+    "value\n0001-01-01T00:00:00,1\n1969-12-31T23:59:59,2\n9999-12-31T23:59:59,3\n",
+    "2021-01-01T00:00:00.0005,1\n2021-01-01T00:00:00.0015,2\n2021-01-01T00:00:00.0025,3\n",
+])
+def test_plain_iso_files_load_without_the_line_parser(tmp_path, monkeypatch, text):
+    test_plain_files_load_without_the_line_parser(tmp_path, monkeypatch, text)
+
+
+# ISO files outside the plain shape, each built so that a numpy reader that
+# skipped the check in question would read rows in order and keep them.
+@pytest.mark.parametrize("text", [
+    "2021-01-01T05:30:00+05:30,1\n2021-01-01T05:30:01+05:30,2\n",
+    "2021-01-01 00:00:00,1\n2021-01-01 00:00:01,2\n",
+    "2021-01-01t00:00:00,1\n2021-01-01t00:00:01,2\n",
+    "2023-02-28T00:00:00Z,1\n2023-02-29T00:00:00Z,2\n2023-03-01T00:00:00Z,3\n",
+    "1900-02-28T00:00:00Z,1\n1900-02-29T00:00:00Z,2\n1900-03-01T00:00:00Z,3\n",
+    "2021-01-01T23:00:00Z,1\n2021-01-01T24:00:00Z,2\n2021-01-02T00:00:00Z,3\n",
+    "2021-01-01T00:59:00Z,1\n2021-01-01T00:60:00Z,2\n2021-01-01T01:00:00Z,3\n",
+    "2021-01-01T00:00:59Z,1\n2021-01-01T00:00:60Z,2\n2021-01-01T00:01:00Z,3\n",
+    "2021-12-31T00:00:00Z,1\n2021-13-01T00:00:00Z,2\n2022-01-01T00:00:00Z,3\n",
+    "2021-01-31T00:00:00Z,1\n2021-02-00T00:00:00Z,2\n2021-02-01T00:00:00Z,3\n",
+    "0001-01-01T00:00:00Z,1\n0000-12-31T00:00:00Z,2\n",
+    "2021-01-01T00:00:00Z,1\n 2021-01-01T00:00:01Z,2\n",
+    "2021-01-01T00:00:00Z,1\n2021-01-01T00:00:01Z,2\n1609459202000,3\n",
+    "2021-01-01T00:00:00.5Z,1\n2021-01-01T00:00:00.55Z,2\n",
+    "2021-01-01T00:00:00.123456789+00:00,1\n2021-01-01T00:00:00.123456789+00:000,2\n",
+    "2021-01-01T00:00:00Z,1\n2021-01-01T00:00:01Z9,2\n",
+    "2021-01-01T00:00:00Z,1\n2021-01-01T00:00:01Z\x00,2\n",
+    "2021-01-01T00:00:00Z,1\n2021-01-01T00:00:0\u0663Z,2\n",
+])
+def test_iso_files_outside_the_plain_shape_read_as_the_line_parser_reads_them(tmp_path, text):
+    expected = _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert _outcome(lambda: read_series(io.StringIO(text))) == expected
     path = tmp_path / "iso.csv"
-    path.write_text("timestamp,value\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:00:01Z,2.0\n")
-
-    def no_loadtxt(*args, **kwargs):
-        raise AssertionError("np.loadtxt ran on an ISO file")
-
-    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-    assert read_series(str(path)).timestamps.tolist() == [EPOCH_2021_MS, EPOCH_2021_MS + 1000]
+    path.write_text(text)
+    assert _outcome(lambda: read_series(str(path))) == expected
