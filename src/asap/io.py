@@ -59,6 +59,10 @@ class ParseError(ValueError):
 def _parse_iso_ms(text: str) -> int:
     # int() and float() ignore surrounding whitespace; fromisoformat does not.
     text = text.strip()
+    # fromisoformat stops at a NUL on some Pythons (3.11 on), so refuse it
+    # here for the same answer on every version.
+    if "\x00" in text:
+        raise ValueError("NUL in timestamp")
     cleaned = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
     try:
         dt = datetime.fromisoformat(cleaned)

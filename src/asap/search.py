@@ -4,10 +4,13 @@ The goal: the window w that minimizes roughness of the smoothed series
 subject to kurtosis(smoothed) >= kurtosis(input), so outliers and regime
 shifts survive smoothing. Every strategy evaluates candidate windows the
 same way (_try_window) inside the same frame (_run); they differ only in
-which windows they visit. find_window gets there cheaply by evaluating
-autocorrelation peak lags from largest to smallest with two pruning rules,
-then binary-searching the remaining gap; exhaustive_search is the slow
-reference that scans every window and is used as the oracle in tests.
+which windows they visit. An evaluation measures kurtosis first and
+roughness only when the window is feasible, and the result reuses the
+winner's evaluation instead of smoothing it again. find_window gets there
+cheaply by evaluating autocorrelation peak lags from largest to smallest
+with two pruning rules, then binary-searching the remaining gap;
+exhaustive_search is the slow reference that scans every window and is used
+as the oracle in tests.
 
 Pruning rules, both derived from the closed-form roughness estimate for a
 window w over an N-point series with std sigma:
@@ -23,7 +26,7 @@ window w over an N-point series with std sigma:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +61,19 @@ def acf_horizon(n: int, max_window: int | None = None) -> int:
 
 @dataclass
 class SearchState:
-    """Mutable progress of one search: best window so far and pruning bounds."""
+    """Mutable progress of one search: best window so far and pruning bounds.
+
+    When the search itself kept the best window, kurtosis and smoothed hold
+    that evaluation (smoothed is None for a seeded or the initial window).
+    Both follow from the window, so they take no part in comparisons.
+    """
 
     window: int = 1
     roughness: float = math.inf
     lower_bound: float = 1.0
     evaluations: int = 0
+    kurtosis: float = field(default=math.nan, compare=False)
+    smoothed: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,17 +116,20 @@ def _try_window(prefix: np.ndarray, w: int, state: SearchState, target: float) -
     """Evaluate window w and return (feasible, kept).
 
     Feasible: the smoothed kurtosis is at least target. Kept: feasible and
-    smoother than the state's best, which w then becomes. A window that
-    smooths the series flat has NaN kurtosis, so it is neither.
+    smoother than the state's best, which w then becomes, together with its
+    measurements. A window that smooths the series flat has NaN kurtosis, so
+    it is neither. Roughness is measured only for a feasible window.
     """
     y = _sma_from_prefix(prefix, w)
     state.evaluations += 1
-    r, k = roughness(y), kurtosis(y)
-    feasible = k >= target
-    kept = feasible and r < state.roughness
-    if kept:
-        state.window, state.roughness = w, r
-    return feasible, kept
+    k = kurtosis(y)
+    if not k >= target:
+        return False, False
+    r = roughness(y)
+    if not r < state.roughness:
+        return True, False
+    state.window, state.roughness, state.kurtosis, state.smoothed = w, r, k, y
+    return True, True
 
 
 def _prunable(state: SearchState, w: int, corr: np.ndarray) -> bool:
@@ -166,18 +179,32 @@ def _run(series: Series, search) -> SmoothResult:
     """The frame every strategy shares: fewer than MIN_POINTS points is an
     error, a constant series keeps window 1, and otherwise search(values,
     prefix, target kurtosis) returns the final SearchState; prefix holds the
-    values' _prefix_sums, built once per search."""
+    values' _prefix_sums, built once per search.
+
+    The result's roughness and kurtosis are measured on the returned
+    smoothed values: taken from the search's own evaluation of the window
+    when it kept one, measured here for window 1 and for a seeded window the
+    search never evaluated, so a seed's claimed roughness never reaches it.
+    """
     x = series.values
     if x.size < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
-    state = SearchState() if np.all(x == x[0]) else search(x, _prefix_sums(x), kurtosis(x))
+    target = kurtosis(x)
+    state = SearchState() if np.all(x == x[0]) else search(x, _prefix_sums(x), target)
     w = state.window
-    smoothed = smooth_series(series, w) if w > 1 else series
+    if w == 1:
+        smoothed, r, k = series, roughness(x), target
+    elif state.smoothed is not None:
+        y = state.smoothed
+        smoothed, r, k = Series(series.timestamps[: y.size], y), state.roughness, state.kurtosis
+    else:
+        smoothed = smooth_series(series, w)
+        r, k = roughness(smoothed.values), kurtosis(smoothed.values)
     return SmoothResult(
         window=w,
         smoothed=smoothed,
-        roughness=roughness(smoothed.values),
-        kurtosis=kurtosis(smoothed.values),
+        roughness=r,
+        kurtosis=k,
         candidates_evaluated=max(1, state.evaluations),
     )
 

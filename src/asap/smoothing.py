@@ -17,7 +17,9 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _sma_from_prefix(prefix: np.ndarray, window: int) -> np.ndarray:
-    return (prefix[window:] - prefix[:-window]) / window
+    out = prefix[window:] - prefix[:-window]
+    out /= window
+    return out
 
 
 def sma(values, window: int) -> np.ndarray:

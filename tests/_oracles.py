@@ -4,7 +4,7 @@ import math
 import numpy as np
 
 from asap.metrics import kurtosis, roughness
-from asap.smoothing import sma
+from asap.smoothing import sma, smooth_series
 
 
 def direct_acf(values, max_lag: int) -> np.ndarray:
@@ -81,3 +81,14 @@ def best_window_scan(values, max_window: int) -> tuple[int, float]:
         if k >= target and r < best_r:
             best_w, best_r = w, r
     return best_w, best_r
+
+
+def assert_result_measures_its_smoothing(series, result) -> None:
+    """A search result's smoothed series is smooth_series at its window (the
+    series itself at window 1), and its roughness and kurtosis are those of
+    that series' values, bit for bit (NaN kurtosis included)."""
+    want = series if result.window == 1 else smooth_series(series, result.window)
+    assert result.smoothed.timestamps.tobytes() == want.timestamps.tobytes()
+    assert result.smoothed.values.tobytes() == want.values.tobytes()
+    assert result.roughness.hex() == roughness(want.values).hex()
+    assert result.kurtosis.hex() == kurtosis(want.values).hex()

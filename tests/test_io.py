@@ -184,6 +184,23 @@ def test_iso_milliseconds_round_exactly(text, expected):
     assert _parse_iso_ms(text) == expected
 
 
+@pytest.mark.parametrize("text", [
+    "2023-02-28T00:00:00Z\x00", "2023-02-28T00:00:00+00:00\x00", "2023-02-28T00:00:00\x00",
+    "2023-02-28T00:00:00.5\x00Z", "\x002023-02-28T00:00:00Z",
+])
+def test_iso_timestamps_refuse_a_nul(text):
+    # datetime.fromisoformat stops at a NUL on some Python versions only.
+    with pytest.raises(ValueError, match="NUL"):
+        _parse_iso_ms(text)
+
+
+def test_a_nul_after_an_iso_timestamp_is_a_line_error():
+    text = "2023-02-28T00:00:00Z,1\n2023-02-28T00:00:01Z\x00,2\n"
+    with pytest.raises(ParseError, match="line 2: ") as caught:
+        read_series(io.StringIO(text))
+    assert caught.value.lineno == 2
+
+
 def _fractions(places):
     """Fraction digits (an int below 10**places), often half a millisecond
     or just above it."""

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from _oracles import best_window_scan
+import asap.search
+from _oracles import assert_result_measures_its_smoothing, best_window_scan
 from asap.acf import AcfProfile, autocorrelation, find_peaks
 from asap.cli import STRATEGIES
 from asap.generators import GENERATORS, noisy_sine, spike_in_noise, trend_seasonal, uniform
@@ -271,6 +274,34 @@ def test_exhaustive_search_counts_every_candidate():
 
 
 
+@pytest.mark.parametrize("shape,window", [("sine", 64), ("spike", 1), ("gaussian", 19)])
+def test_a_scan_measures_roughness_only_for_feasible_windows(monkeypatch, shape, window):
+    # Kurtosis decides feasibility, so it is measured once per window plus
+    # once for the target; roughness only for a feasible window, plus once
+    # for the series itself when window 1 wins. The winner is not smoothed
+    # or measured again.
+    s = GENERATORS[shape](800, 0)
+    calls = {"roughness": 0, "kurtosis": 0, "smooth_series": 0}
+
+    def counted(name):
+        real = getattr(asap.search, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(asap.search, name, counted(name))
+    res = exhaustive_search(s)
+    x = s.values
+    feasible = sum(kurtosis(sma(x, w)) >= kurtosis(x) for w in range(1, 81))
+    assert (res.window, res.candidates_evaluated) == (window, 80)
+    assert feasible < 80  # some window is infeasible, so some roughness is skipped
+    assert calls == {"roughness": feasible + (window == 1), "kurtosis": 81, "smooth_series": 0}
+
+
 def test_exhaustive_search_skips_a_window_that_smooths_flat():
     # Window 4 averages each period to 2.5, which has no kurtosis, so it is
     # infeasible like any window that lowers kurtosis.
@@ -386,3 +417,34 @@ def test_searches_are_unchanged_by_a_power_of_two_scale(k):
             for search in (find_window, exhaustive_search, binary_only_search):
                 base, got = search(s), search(scaled)
                 assert (got.window, got.candidates_evaluated) == (base.window, base.candidates_evaluated)
+
+
+@hs.composite
+def search_inputs(draw):
+    """Generator series, or short runs of small integers: those hold ties,
+    constant series and windows that smooth the series flat."""
+    if draw(hs.booleans()):
+        n = draw(hs.integers(4, 600))
+        return GENERATORS[draw(hs.sampled_from(sorted(GENERATORS)))](n, draw(hs.integers(0, 3)))
+    return Series.from_values(draw(hs.lists(hs.integers(-3, 3), min_size=4, max_size=60)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=search_inputs(),
+    cap=hs.none() | hs.integers(1, 60),
+    seed_window=hs.sampled_from(["good", 0, -2, "above cap", "past the end", 2, 3]),
+    seed_roughness=hs.sampled_from(["true", 0.0, 1e-9, 0.5, 2.0, 1e9]),
+)
+def test_a_result_is_measured_on_its_own_smoothed_series(s, cap, seed_window, seed_roughness):
+    # Whatever the strategy, and whatever window and roughness a seed claims,
+    # a result reports its own window's smoothing and measurements of it.
+    for search in STRATEGIES.values():
+        assert_result_measures_its_smoothing(s, search(s, cap))
+    cold = find_window(s, max_window=cap)
+    w = {"good": cold.window, "above cap": window_cap(len(s), cap) + 1, "past the end": len(s) + 5}.get(
+        seed_window, seed_window
+    )
+    claimed = cold.roughness if seed_roughness == "true" else seed_roughness
+    warm = find_window(s, max_window=cap, state=SearchState(window=w, roughness=claimed))
+    assert_result_measures_its_smoothing(s, warm)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
+from _oracles import assert_result_measures_its_smoothing
 from asap.generators import GENERATORS, noisy_sine
 from asap.metrics import roughness
 from asap.preagg import preaggregate
@@ -342,3 +343,20 @@ def test_explicit_config_caps_stream_window():
     _replay(st, raw)
     assert st.last_result is not None
     assert st.last_result.window <= 25
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+@pytest.mark.parametrize("shape", sorted(GENERATORS))
+def test_every_refresh_is_measured_on_its_own_smoothed_panes(shape, cap):
+    # Seeded refreshes included: the previous window's roughness, which the
+    # seed carries, never stands in for a measurement of the result.
+    st = StreamState(pane_span=2, capacity=80, refresh_interval=3, max_window=cap)
+    series = GENERATORS[shape](900, 1)
+    refreshes = 0
+    for t, v in zip(series.timestamps.tolist(), series.values.tolist()):
+        st.ingest(t, v)
+        result = st.maybe_refresh()
+        if result is not None:
+            refreshes += 1
+            assert_result_measures_its_smoothing(st.aggregated(), result)
+    assert refreshes > 100
