@@ -2,18 +2,20 @@
 
 Accepted input: optional header row, then either `timestamp,value` rows or a
 single value column (timestamps become 0, 1, 2, ...). Timestamps are integer
-epoch milliseconds or ISO-8601 datetimes; the format is detected once per
-file from the first data row. Naive ISO datetimes are read as UTC.
+epoch milliseconds or the ISO-8601 stamps `ISO_STAMP` defines; the format is
+detected once per file from the first data row.
 
 `iter_rows` is the definition of that format and words every error.
 `read_series` first hands a plain file (see `_load_plain`) to numpy's C
 loader and keeps its arrays only when they are what `iter_rows` would give;
-anything else goes through `iter_rows`.
+anything else goes through `iter_rows`. Both read ISO stamps by `ISO_STAMP`
+and `_epoch_ms`.
 """
 from __future__ import annotations
 
+import re
 import warnings
-from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from itertools import chain
 from math import isfinite
 from typing import Iterable, Iterator, TextIO
@@ -28,24 +30,24 @@ from .series import Series
 # the read.
 DECODING = {"encoding": "utf-8", "errors": "surrogateescape"}
 
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-MICROSECOND = timedelta(microseconds=1)
-
-# numpy dtype for each first-row mode `_load_plain` takes; ISO takes none.
+# numpy dtype for each first-row mode `_load_plain` takes. An ISO field is one
+# byte wider than the longest stamp (35): numpy cuts a longer field to 36
+# bytes, which then fails `_iso_series`'s shape check instead of passing.
 PLAIN_DTYPES = {
     ("double", False): [("t", np.int64), ("v", np.float64)],
+    ("double", True): [("t", "S36"), ("v", np.float64)],
     ("single", False): np.float64,
 }
 
-# The plain ISO-8601 timestamp `_load_plain` also takes: this ("d" marks an
-# ASCII digit), then optionally "." and 1-9 digits, then one of the suffixes.
-ISO_DATE_TIME = b"dddd-dd-ddTdd:dd:dd"
-ISO_SUFFIXES = (b"+00:00", b"Z", b"z", b"")
-# One byte wider than the longest plain timestamp (35): numpy cuts a longer
-# field to 36 bytes, which then fails the shape check instead of passing.
-ISO_DTYPE = [("t", "S36"), ("v", np.float64)]
-# Days in each month of a common year, by month number.
-MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# The ISO-8601 timestamps: a date, optionally followed by `T`, `t` or a space
+# and a time whose fraction has 1-9 digits, then optionally `Z`, `z` or a
+# `+HH[:MM]` / `-HH[:MM]` offset. A stamp with no offset is UTC.
+ISO_STAMP = re.compile(
+    r"(?P<year>\d{4})-(?P<month>\d\d)-(?P<day>\d\d)"
+    r"(?:[Tt ](?P<hour>\d\d):(?P<minute>\d\d)(?::(?P<second>\d\d)(?:\.(?P<fraction>\d{1,9}))?)?"
+    r"(?:[Zz]|(?P<sign>[+-])(?P<offset_hour>\d\d)(?::(?P<offset_minute>\d\d))?)?)?",
+    re.ASCII,
+)
 
 
 class ParseError(ValueError):
@@ -56,43 +58,59 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def _days(year, month, day):
+    """Days from 1970-01-01 to a proleptic Gregorian date, by Howard Hinnant's
+    days_from_civil: counted from March, a year ends with its leap day, and
+    400 years hold 146 097 days. Month 13 is the next year's January."""
+    before_march = month <= 2
+    era, year_of_era = divmod(year - before_march, 400)
+    day_of_year = (153 * (month - 3 + 12 * before_march) + 2) // 5 + day - 1
+    return era * 146_097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year - 719_468
+
+
+def _epoch_ms(year, month, day, hour, minute, second, nanosecond, sign, offset_hour, offset_minute):
+    """(milliseconds since 1970-01-01T00:00:00Z, whether a field is out of
+    range) of `ISO_STAMP`'s fields as Python ints or numpy int arrays, absent
+    ones 0, the fraction in ns and `sign` +1 or -1. Only the fraction rounds
+    (half to even); all else adds an even count, so parts of a stamp add up."""
+    days = _days(year, month, day)
+    bad = (
+        (year < 1) | (month < 1) | (month > 12) | (day < 1) | (days >= _days(year, month + 1, 1))
+        | (hour > 23) | (minute > 59) | (second > 59) | (offset_hour > 23) | (offset_minute > 59)
+    )
+    ms, rest = divmod(nanosecond, 1_000_000)
+    ms += rest + ms % 2 > 500_000
+    minutes = (days * 24 + hour - sign * offset_hour) * 60 + minute - sign * offset_minute
+    return ms + (minutes * 60 + second) * 1000, bad
+
+
+@lru_cache(maxsize=4096)
+def _stamp_ms(text: str) -> int:
+    """`_epoch_ms` of a stamp, or ValueError."""
+    match = ISO_STAMP.fullmatch(text)
+    if match is None:
+        raise ValueError("not of the form YYYY-MM-DD[THH:MM[:SS[.F]][Z|+HH[:MM]|-HH[:MM]]]")
+    year, month, day, hour, minute, second, fraction, sign, offset_hour, offset_minute = match.groups("0")
+    ms, bad = _epoch_ms(
+        int(year), int(month), int(day), int(hour), int(minute), int(second), int(fraction.ljust(9, "0")),
+        -1 if sign == "-" else 1, int(offset_hour), int(offset_minute),
+    )
+    if bad:
+        raise ValueError("date or time out of range")
+    return ms
+
+
 def _parse_iso_ms(text: str) -> int:
-    # int() and float() ignore surrounding whitespace; fromisoformat does not.
+    # int() and float() ignore surrounding whitespace, so this does too.
     text = text.strip()
-    # fromisoformat stops at a NUL on some Pythons (3.11 on), so refuse it
-    # here for the same answer on every version.
-    if "\x00" in text:
-        raise ValueError("NUL in timestamp")
-    cleaned = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
-    try:
-        dt = datetime.fromisoformat(cleaned)
-    except ValueError as error:
-        # Python 3.10 takes a fraction of 3 or 6 digits only: retry with 6.
-        head, _, tail = cleaned.partition(".")
-        rest = tail.lstrip("0123456789")
-        if rest == tail:
-            raise
-        try:
-            dt = datetime.fromisoformat(f"{head}.{(tail[: len(tail) - len(rest)] + '00000')[:6]}{rest}")
-        except ValueError:
-            raise error from None
-    # fromisoformat keeps 6 fraction digits. Later ones count in the rounding
-    # if they are the time's: an offset, which may have a fraction, follows it.
-    beyond = False
-    dot = cleaned.find(".")
-    if dot > 0 and cleaned[dot + 7 : dot + 8].isdigit():
-        tail = cleaned[dot + 1 :]
-        rest = tail.lstrip("0123456789")
-        beyond = tail[6 : len(tail) - len(rest)].strip("0") and (rest or dt.tzinfo is None)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    # Integer microseconds: dt.timestamp() * 1000 rounds through a float and
-    # is off by one for some sub-millisecond times far from 1970.
-    ms, us = divmod((dt - EPOCH) // MICROSECOND, 1000)
-    # Half to even, as round() does; digits past the microsecond break a tie
-    # upward. `ms` itself when not rounding up: `ms + 0` would allocate a
-    # larger int per row (+4 MB on 250k ISO rows).
-    return ms + 1 if us > 500 or (us == 500 and (beyond or ms % 2)) else ms
+    # The date and minute (16 characters, or a date) and the rest after the
+    # epoch's minute, split after the seconds if there is a fraction, are
+    # stamps exactly when the text is one, and sum to its milliseconds; a
+    # file's rows share most such parts, which `_stamp_ms` caches.
+    head, rest, epoch = text[:16], text[16:], "1970-01-01T00:00"
+    if rest.startswith(":") and "." in rest:
+        return _stamp_ms(head) + _stamp_ms(epoch + rest[:3]) + _stamp_ms(epoch + ":00" + rest[3:])
+    return _stamp_ms(head) + _stamp_ms(epoch + rest)
 
 
 def _detect_mode(parts: list[str]) -> tuple[str, bool] | None:
@@ -169,12 +187,10 @@ def _load_plain(fh: TextIO) -> Series | None:
 
     Taken only for a plain shape: no byte-order mark, at most one line before
     the first data row (a header, which `_detect_mode` rejects), and a first
-    data row of integer-ms, value-only or ISO form. The result is kept only
-    when numpy raises nothing, warns nothing (numpy 1.x only warns when it
-    truncates `5.0` into an int column), an ISO file passes `_iso_series`, and
-    `Series` accepts it; `Series` checks the values finite and the timestamps
-    in order. On every such file `iter_rows` reads the same rows
-    (tests/test_io.py checks this)."""
+    data row of integer-ms, value-only or ISO form. Kept only when numpy raises
+    and warns nothing (numpy 1.x warns when it truncates `5.0` into an int),
+    `_iso_series` takes an ISO file, `Series` accepts the arrays and the file
+    holds no NUL or U+001C-U+001F: then `iter_rows` reads the same rows."""
     for _ in range(2):
         start = fh.tell()
         line = fh.readline()
@@ -183,83 +199,62 @@ def _load_plain(fh: TextIO) -> Series | None:
         mode = _detect_mode(line.strip().split(","))
         if mode is not None:
             break
-    dtype = ISO_DTYPE if mode == ("double", True) else PLAIN_DTYPES.get(mode)
-    if dtype is None:
+    if mode not in PLAIN_DTYPES:
         return None
     fh.seek(start)  # the table holds the data row just read, so it is never empty
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(fh, dtype=PLAIN_DTYPES[mode], delimiter=",", comments=None, ndmin=1)
         if mode[0] == "single":
-            return Series(np.arange(table.size, dtype=np.int64), table)
-        if mode[1]:
-            return _iso_series(table, fh, start)
-        return Series(table["t"], table["v"])
+            series = Series.from_values(table)
+        else:
+            series = _iso_series(table) if mode[1] else Series(table["t"], table["v"])
     except (ValueError, OverflowError, Warning):
         return None
-
-
-def _iso_series(table: np.ndarray, fh: TextIO, start: int) -> Series | None:
-    """`table` (`ISO_DTYPE` rows) as a Series, or None unless every timestamp
-    has the first row's plain ISO shape and is a date and time that
-    `_parse_iso_ms` takes, and `fh` holds no NUL from `start` on.
-
-    Epoch milliseconds come from integer arithmetic on the digit bytes, with
-    the fraction rounded half to even as `_parse_iso_ms` rounds it."""
-    first = table["t"][0]
-    suffix = next(s for s in ISO_SUFFIXES if first.endswith(s))
-    places = len(first) - len(suffix) - len(ISO_DATE_TIME) - 1
-    shape = ISO_DATE_TIME + (b"." + b"d" * places if 0 < places <= 9 else b"") + suffix
-    if len(shape) != len(first):
-        return None
-    pattern = np.frombuffer(shape, np.uint8)
-    digit = pattern == ord("d")
-    raw = table.view(np.uint8).reshape(table.size, -1)
-    # Each column's byte range, checked through its least and greatest byte
-    # so that no array as large as the table is made.
-    columns = raw[:, : pattern.size]
-    if (
-        raw[:, pattern.size].any()  # a longer field
-        or (columns.min(axis=0) < np.where(digit, ord("0"), pattern)).any()
-        or (columns.max(axis=0) > np.where(digit, ord("9"), pattern)).any()
-    ):
-        return None
-
-    def number(begin: int, end: int) -> np.ndarray:
-        value = np.zeros(table.size, np.int32)  # 9 digits at most: below 2**31
-        for column in range(begin, end):
-            value = value * 10 + (raw[:, column] - ord("0"))
-        return value
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_end = np.take(MONTH_DAYS, month, mode="clip") + (leap & (month == 2))
-    if (
-        (year < 1) | (month < 1) | (month > 12) | (day < 1) | (day > month_end)
-        | (hour > 23) | (minute > 59) | (second > 59)
-    ).any():
-        return None
-    # Days since 0000-03-01 by Howard Hinnant's days_from_civil: counted from
-    # March, a year ends with its leap day, and 400 years hold 146 097 days.
-    # 1970-01-01 is day 719 468.
-    era, year_of_era = np.divmod(year - (month <= 2), 400)
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146_097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
-    ms = ((((days.astype(np.int64) - 719_468) * 24 + hour) * 60 + minute) * 60 + second) * 1000
-    if places > 0:
-        # Whole seconds are an even count of ms, so a tie rounds up to even
-        # exactly when `whole` is odd.
-        whole, rest = np.divmod(number(20, 20 + places) * 10 ** (9 - places), 1_000_000)
-        ms += whole + ((rest > 500_000) | ((rest == 500_000) & (whole % 2 == 1)))
-    series = Series(ms, table["v"])
-    # numpy drops trailing NULs from a field: leave any NUL to the line parser.
+    # np.loadtxt drops trailing NULs from a bytes field and strips U+001C-U+001F
+    # around a number, where int() and float() refuse them.
     fh.seek(start)
     for chunk in iter(lambda: fh.read(1 << 20), ""):
-        if "\x00" in chunk:
+        if any(c in chunk for c in "\x00\x1c\x1d\x1e\x1f"):
             return None
     return series
+
+
+def _iso_series(table: np.ndarray) -> Series:
+    """`table` (ISO `PLAIN_DTYPES` rows) as a Series, or ValueError unless
+    every stamp has the first's byte shape (digits where the first has
+    `ISO_STAMP` fields, its other bytes elsewhere) and is in range."""
+    first = table["t"][0]
+    match = ISO_STAMP.fullmatch(first.decode("latin-1"))
+    if match is None:
+        raise ValueError("not a stamp")
+    # The stamps' bytes column by column, one past the first's end, where a
+    # longer stamp shows: each column is contiguous, and a byte's range is
+    # checked through its column's least and greatest byte.
+    columns = np.ascontiguousarray(table.view(np.uint8).reshape(table.size, -1)[:, : len(first) + 1].T)
+    pattern = np.frombuffer(first + b"\0", np.uint8)
+    digit = (pattern >= ord("0")) & (pattern <= ord("9"))  # the fields': the pattern has no other digit
+    low, high = np.where(digit, ord("0"), pattern), np.where(digit, ord("9"), pattern)
+    if (columns.min(axis=1) < low).any() or (columns.max(axis=1) > high).any():
+        raise ValueError("a stamp of another shape")
+
+    def field(name: str) -> np.ndarray | int:
+        begin, end = match.span(name)  # (-1, -1) when absent: the field stays 0
+        # int32 holds 9 digits; the year is int64, and so is every sum after it.
+        value = np.zeros(table.size, np.int64 if name == "year" else np.int32) if begin >= 0 else 0
+        for column in columns[begin:end]:
+            value = value * 10 + (column - ord("0"))
+        return value
+
+    ms, bad = _epoch_ms(
+        *(field(name) for name in ("year", "month", "day", "hour", "minute", "second")),
+        field("fraction") * 10 ** (9 - len(match["fraction"] or "")), -1 if match["sign"] == "-" else 1,
+        field("offset_hour"), field("offset_minute"),
+    )
+    if bad.any():
+        raise ValueError("date or time out of range")
+    return Series(ms, table["v"])
 
 
 def read_series(source: str | TextIO) -> Series:

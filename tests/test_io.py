@@ -1,6 +1,6 @@
 """CSV reading and writing: formats, line numbers, round trips."""
 import io
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import asap.io
 from asap.io import (
-    DECODING, EPOCH, ParseError, _parse_iso_ms, _parse_lines, count_rows, iter_rows, read_series, write_series,
+    DECODING, ParseError, _parse_iso_ms, _parse_lines, count_rows, iter_rows, read_series, write_series,
 )
 from asap.series import Series
 
@@ -168,20 +168,87 @@ def test_write_read_round_trip_is_exact():
     assert second.getvalue() == text
 
 
-@pytest.mark.parametrize("text,expected", [
-    # dt.timestamp() * 1000 rounds these through a float to ...734 and ...846.
-    ("7100-06-14T19:20:15.733479Z", 161_901_400_815_733),
-    ("0002-02-02T22:54:05.154506+00:00", -62_101_213_554_845),
-    # Exact halves round to even, as round() does.
-    ("2021-01-01T00:00:00.0005Z", EPOCH_2021_MS),
-    ("2021-01-01T00:00:00.0015Z", EPOCH_2021_MS + 2),
-    ("1969-12-31T23:59:59.9995Z", 0),
-    # Digits past the microsecond count: 0.5001 ms is above the half.
+# The accepted timestamps: a date, optionally followed by T, t or a space and
+# HH:MM[:SS[.F]] (F: 1-9 digits) with an optional Z, z or +-HH[:MM] offset;
+# no offset is UTC. Each row: (stamp, its epoch milliseconds).
+ACCEPTED = [
+    ("2024-03-05", 1_709_596_800_000),
+    ("2024-03-05T12:34", 1_709_642_040_000),
+    ("2024-03-05T12:34:56", 1_709_642_096_000),
+    ("2024-03-05t12:34:56", 1_709_642_096_000),
+    ("2024-03-05 12:34:56", 1_709_642_096_000),
+    ("2024-03-05T12:34:56Z", 1_709_642_096_000),
+    ("2024-03-05T12:34:56z", 1_709_642_096_000),
+    ("2024-03-05T12:34Z", 1_709_642_040_000),
+    ("2024-03-05T12:34:56+05:30", 1_709_622_296_000),
+    ("2024-03-05T12:34:56-05:30", 1_709_661_896_000),
+    ("2024-03-05T12:34:56+05", 1_709_624_096_000),
+    ("2024-03-05 12:34-08", 1_709_670_840_000),
+    ("2024-03-05T12:34:56-00:00", 1_709_642_096_000),
+    ("2024-03-05T12:34:56+23:59", 1_709_555_756_000),
+    ("2024-03-05T12:34:56.1Z", 1_709_642_096_100),
+    ("2024-03-05T12:34:56.123456789+01:00", 1_709_638_496_123),
+    # Half a millisecond rounds to even; any digit past it rounds up.
+    ("2021-01-01T00:00:00.0005Z", 1_609_459_200_000),
+    ("2021-01-01T00:00:00.0015Z", 1_609_459_200_002),
+    ("2021-01-01T00:00:00.0025", 1_609_459_200_002),
+    ("2021-01-01T00:00:00.000500001", 1_609_459_200_001),
     ("2024-01-01T00:00:00.000500100Z", 1_704_067_200_001),
     ("2024-01-01T00:00:00.0005001Z", 1_704_067_200_001),
-])
-def test_iso_milliseconds_round_exactly(text, expected):
+    ("2021-01-01T00:00:00.999999999", 1_609_459_201_000),
+    ("1969-12-31T23:59:59.9995Z", 0),
+    # A float would round these to ...734 and ...846.
+    ("7100-06-14T19:20:15.733479Z", 161_901_400_815_733),
+    ("0002-02-02T22:54:05.154506+00:00", -62_101_213_554_845),
+    ("2024-02-29", 1_709_164_800_000),
+    ("2000-02-29T23:59:59", 951_868_799_000),
+    ("1900-02-28", -2_203_977_600_000),
+    ("2023-04-30", 1_682_812_800_000),
+    ("2023-12-31T23:59:59", 1_704_067_199_000),
+    ("0001-01-01T00:00:00", -62_135_596_800_000),
+    ("0001-01-01T00:00+01:00", -62_135_600_400_000),
+    ("9999-12-31T23:59:59.999-23:59", 253_402_387_139_999),
+]
+REJECTED = [
+    # Outside the grammar: other forms of ISO 8601 and near misses.
+    "2024-03-05X12:34:56", "2024-03-05T12", "2024-03-05T1234", "2024-03-05T12:34:5", "2024-03-05T1:34:56",
+    "2024-3-05", "24-03-05", "+2024-03-05", "20240305", "20240305T123456Z", "2024-W10-2T12:34:56",
+    "2024-065T12:34:56", "2024-03-05T12:34:56,5", "2024-03-05T12:34:56.", "2024-03-05T12:34:56.Z",
+    "2024-03-05T12:34:56.1234567891Z", "2024-03-05T12:34.5", "2024-03-05T12:34:56+0530",
+    "2024-03-05T12:34:56+05:30:15", "2024-03-05T12:34:56+05:30:15.5", "2024-03-05T12:34:56+5",
+    "2024-03-05T12:34:56 +05:30", "2024-03-05T12:34:56Z+05:00", "2024-03-05T12:34+05.5", "2024-03-05T12:34Z.5",
+    "2024-03-05T12:34:56UTC", "2024-03-05Z", "2024-03-05+05:00", "2024-03-05T12:34:56Z\x00",
+    "2024-03-05T12:34:5\u0663", "\uff12024-03-05", "",
+    # In the grammar, out of range.
+    "0000-12-31", "2024-00-10", "2024-13-01", "2024-01-00", "2024-01-32", "2023-02-29", "1900-02-29",
+    "2024-02-30", "2024-04-31", "2024-03-05T24:00", "2024-03-05T12:60", "2024-03-05T23:59:60",
+    "2024-03-05T12:34:56+24:00", "2024-03-05T12:34:56-05:60",
+]
+
+
+def _vectorized(stamp):
+    """`_iso_series`'s reading of a one-row file with this stamp, or None."""
+    table = np.array([(stamp.encode("latin-1"), 1.0)], dtype=asap.io.PLAIN_DTYPES["double", True])
+    try:
+        return asap.io._iso_series(table).timestamps.tolist()[0]
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("text,expected", ACCEPTED)
+def test_accepted_iso_timestamps_read_the_same_in_both_parsers(text, expected):
     assert _parse_iso_ms(text) == expected
+    assert _vectorized(text) == expected
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_rejected_iso_timestamps_are_refused_by_both_parsers(text):
+    with pytest.raises(ValueError):
+        _parse_iso_ms(text)
+    # A bytes field holds ASCII, less trailing NULs: `_load_plain` leaves a
+    # file with a NUL to the line parser.
+    if text.isascii() and "\x00" not in text:
+        assert _vectorized(text) is None
 
 
 @pytest.mark.parametrize("text", [
@@ -189,8 +256,7 @@ def test_iso_milliseconds_round_exactly(text, expected):
     "2023-02-28T00:00:00.5\x00Z", "\x002023-02-28T00:00:00Z",
 ])
 def test_iso_timestamps_refuse_a_nul(text):
-    # datetime.fromisoformat stops at a NUL on some Python versions only.
-    with pytest.raises(ValueError, match="NUL"):
+    with pytest.raises(ValueError, match="not of the form"):
         _parse_iso_ms(text)
 
 
@@ -211,25 +277,50 @@ def _fractions(places):
     return st.one_of(st.integers(0, 10**places - 1), near_half)
 
 
-def _iso_stamp(t, places, fraction, suffix):
-    return t.isoformat() + (f".{fraction:0{places}d}" if places else "") + suffix
+def _fields(t):
+    return (t.year, t.month, t.day, t.hour, t.minute, t.second)
+
+
+def _render(form, fields, fraction=0):
+    """The stamp of `fields` (year, month, day, hour, minute, second, any of
+    them out of range) in `form`: (precision, separator, fraction places,
+    suffix)."""
+    precision, sep, places, suffix = form
+    year, month, day, hour, minute, second = fields
+    text = f"{year:04}-{month:02}-{day:02}"
+    if precision == "date":
+        return text
+    text += f"{sep}{hour:02}:{minute:02}"
+    if precision == "second":
+        text += f":{second:02}" + (f".{fraction:0{places}d}" if places else "")
+    return text + suffix
+
+
+# Each suffix a form may end with, and its offset in minutes.
+SUFFIX_MINUTES = {"": 0, "Z": 0, "z": 0, "+00:00": 0, "-00:00": 0, "-07:30": -450, "+05": 300, "+14:00": 840}
+ISO_FORMS = st.one_of(
+    st.just(("date", "T", 0, "")),
+    st.tuples(
+        st.sampled_from(["minute", "second", "second"]), st.sampled_from("TTt "), st.integers(0, 9),
+        st.sampled_from(sorted(SUFFIX_MINUTES)),
+    ),
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)).map(lambda t: t.replace(microsecond=0)),
-    st.integers(0, 9).flatmap(lambda places: st.tuples(st.just(places), _fractions(places))),
-    st.sampled_from(["Z", "z", "+00:00", "", "-07:30", "+14:00"]),
+    ISO_FORMS,
+    st.data(),
 )
-def test_iso_milliseconds_match_exact_rational_rounding(naive, fraction, suffix):
-    places, digits = fraction
-    text = _iso_stamp(naive, places, digits, suffix)
-    aware = datetime.fromisoformat(naive.isoformat() + suffix.upper().replace("Z", "+00:00"))
-    if aware.tzinfo is None:
-        aware = aware.replace(tzinfo=timezone.utc)
-    delta = aware - EPOCH
-    seconds = delta.days * 86_400 + delta.seconds + Fraction(digits, 10**places)
-    assert _parse_iso_ms(text) == round(seconds * 1000)
+def test_iso_milliseconds_match_exact_rational_rounding(naive, form, data):
+    precision, _, places, suffix = form
+    digits = data.draw(_fractions(places)) if precision == "second" else 0
+    text = _render(form, _fields(naive), digits)
+    shown = {"date": dict(hour=0, minute=0, second=0), "minute": dict(second=0), "second": {}}[precision]
+    delta = naive.replace(**shown) - datetime(1970, 1, 1)
+    seconds = delta.days * 86_400 + delta.seconds - 60 * SUFFIX_MINUTES[suffix] + Fraction(digits, 10**places)
+    assert _parse_iso_ms(text) == round(seconds * 1000) == _vectorized(text)
 
 
 # Differential check of read_series's numpy fast path against the line parser:
@@ -260,44 +351,95 @@ ISO_STARTS = st.one_of(
 )
 
 
-def _iso_near_misses(t, text, places):
-    """Timestamps outside the plain ISO shape, made from `text`, the row's
-    plain stamp for time `t`; two draws in three are stamps that a reader
-    skipping one range check could take for `t`."""
-    fraction = text[19 : 20 + places] if places else ""
-    suffix = text[19 + len(fraction) :]
+def _iso_near_misses(t, form, fraction):
+    """Timestamps outside `form` made from the stamp of time `t` in it; two
+    draws in three are out of range, made so that a reader skipping one range
+    check would take them for a time next to `t`."""
+    precision, sep, places, suffix = form
+    text = _render(form, _fields(t), fraction)
+    other_forms = [
+        (precision, {"T": "t", "t": " ", " ": "T"}[sep], places, suffix),
+        (precision, "X", places, suffix),
+        ("second", sep, places + 1, suffix),  # 10 digits are outside the grammar
+        ("minute" if precision == "second" else "second", sep, places, suffix),
+        (precision, sep, places, "+05:30"), (precision, sep, places, "+0530"), (precision, sep, places, "+05:30:15"),
+    ]
+    misses = [_render(other, _fields(t), fraction) for other in other_forms] + [
+        " " + text + " ", text + "9", text + "\x00", "\u0663" + text[1:], str(t.second), "0000" + text[4:],
+        text[:13], text[:10] + "Z", text.replace("-", "").replace(":", ""),
+    ]
     last_month = t.replace(day=1) - timedelta(days=1)
     day_after, day_before, hour_before, minute_before = (
         t + timedelta(**{unit: sign}) for unit, sign in (("days", 1), ("days", -1), ("hours", -1), ("minutes", -1))
     )
-    misses = [
-        text[:19] + fraction + "+05:30", text[:10] + " " + text[11:], text[:10] + "t" + text[11:],
-        " " + text + " ", text[:19] + (fraction or ".") + "5" + suffix, text + "9", text + "\x00",
-        "\u0663" + text[1:], str(t.second), "0000" + text[4:],
-    ]
     aliases = [
-        f"{last_month.isoformat()[:8]}{last_month.day + t.day}{text[10:]}",  # past the month's end; leap years
-        f"{t.year - 1:04}-{t.month + 12}{text[7:]}",  # month 13 or 14
-        f"{day_after.isoformat()[:8]}00{text[10:]}",  # day 0
-        f"{day_before.isoformat()[:11]}{t.hour + 24}{text[13:]}",  # hour 24 and up
-        f"{hour_before.isoformat()[:14]}{t.minute + 60}{text[16:]}",  # minute 60 and up
-        f"{minute_before.isoformat()[:17]}{t.second + 60}{text[19:]}",  # second 60 and up
+        (last_month.year, last_month.month, last_month.day + t.day, t.hour, t.minute, t.second),  # past the month's end
+        (t.year - 1, t.month + 12, t.day, t.hour, t.minute, t.second),  # month 13 or 14
+        (day_after.year, day_after.month, 0, t.hour, t.minute, t.second),  # day 0
+        (*_fields(day_before)[:3], t.hour + 24, t.minute, t.second),  # hour 24 and up
+        (*_fields(hour_before)[:4], t.minute + 60, t.second),  # minute 60 and up
+        (*_fields(minute_before)[:5], t.second + 60),  # second 60 and up
     ]
+    aliases = [_render(form, fields, fraction) for fields in aliases]
     return st.one_of(st.sampled_from(misses), st.sampled_from(aliases), st.sampled_from(aliases))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ISO_STARTS, ISO_FORMS, st.data())
+def test_both_iso_parsers_read_near_misses_alike(t, form, data):
+    fraction = data.draw(_fractions(form[2])) if form[0] == "second" else 0
+    text = data.draw(_iso_near_misses(t, form, fraction))
+    try:
+        expected = _parse_iso_ms(text)
+    except ValueError:
+        expected = None
+    if text == text.strip() and text.isascii() and "\x00" not in text:  # what a bytes field holds as it is
+        assert _vectorized(text) == expected
+
+
+@st.composite
+def _edited_stamps(draw):
+    """A stamp with one to three edits: a piece of a stamp inserted, or a
+    character deleted or replaced."""
+    t, form = draw(ISO_STARTS), draw(ISO_FORMS)
+    text = _render(form, _fields(t), draw(_fractions(form[2])) if form[0] == "second" else 0)
+    for _ in range(draw(st.integers(1, 3))):
+        at, edit = draw(st.integers(0, len(text))), draw(st.sampled_from(["insert", "delete", "replace"]))
+        pieces = "0123456789-:.+zZtT " if edit == "replace" else ["", ".5", ":30", ":00", "+05", "Z", "T12", "-"]
+        text = text[:at] + draw(st.sampled_from(pieces)) + text[at + (edit != "insert"):]
+    return text
+
+
+def _ms_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "error"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited_stamps())
+def test_a_stamp_read_in_parts_reads_as_when_read_whole(text):
+    # _parse_iso_ms reads a stamp as cached parts, each a stamp of its own.
+    whole = asap.io._stamp_ms.__wrapped__
+    assert _ms_or_error(_parse_iso_ms, text) == _ms_or_error(whole, text.strip())
 
 
 @st.composite
 def csv_texts(draw):
-    iso = draw(st.booleans())  # timestamps in one plain ISO shape per file
+    iso = draw(st.booleans())  # timestamps in one ISO form per file
     near_miss = iso and draw(st.booleans())  # one stamp replaced at the end, in a file clean otherwise
     columns = 2 if iso else draw(st.sampled_from([1, 2, 2, 3]))
     dirt = 0 if near_miss else draw(st.sampled_from([0, 0, 1, 3, 10]))  # in 10: the share of rows that are not clean
     lines = [draw(st.sampled_from(HEADERS))] if draw(st.booleans()) else []
     if iso:
-        t, places, suffix = draw(ISO_STARTS), draw(st.integers(0, 9)), draw(st.sampled_from(["", "Z", "z", "+00:00"]))
+        t, form = draw(ISO_STARTS), draw(ISO_FORMS)
+
+        def fraction():
+            return draw(_fractions(form[2])) if form[0] == "second" else 0
 
         def stamp(t):
-            return _iso_stamp(t, places, draw(_fractions(places)), suffix)
+            return _render(form, _fields(t), fraction())
 
         def step():  # at least a second, so that rows stay in order whatever their fractions
             return timedelta(seconds=draw(st.integers(1, 10 ** draw(st.sampled_from([0, 2, 4, 6])))))
@@ -307,7 +449,7 @@ def csv_texts(draw):
 
         def step():
             return draw(st.integers(0, 1000))
-    rows = []  # (index in lines, time, stamp, the other fields) of each data row
+    rows = []  # (index in lines, time, the fields after the stamp) of each data row
     for _ in range(draw(st.integers(1, 8))):
         t += step()
         fields = [stamp(t)] if columns >= 2 else []
@@ -317,18 +459,18 @@ def csv_texts(draw):
             choice = draw(st.integers(0, 3))
             if choice == 0:
                 at = draw(st.integers(0, len(fields) - 1))
-                fields[at] = draw(_iso_near_misses(t, fields[0], places) if iso and at == 0 else st.sampled_from(TRICKY))
+                fields[at] = draw(_iso_near_misses(t, form, fraction()) if iso and at == 0 else st.sampled_from(TRICKY))
             elif choice == 1:
                 fields = fields[:-1] if len(fields) > 1 else fields + ["1"]
             elif choice == 2 and columns >= 2:
                 fields[0] = stamp(t - (timedelta(days=1) if iso else draw(st.integers(1001, 1005))))  # below the row before
             elif choice == 3:
                 lines.append(draw(st.sampled_from(BLANKS + HEADERS)))
-        rows.append((len(lines), t, clean[0], clean[1:]))
+        rows.append((len(lines), t, clean[1:]))
         lines.append(",".join(fields))
     if near_miss and len(rows) > 1:
-        at, t, text, rest = draw(st.sampled_from(rows[1:]))  # the first data row decides the format
-        lines[at] = ",".join([draw(_iso_near_misses(t, text, places))] + rest)
+        at, t, rest = draw(st.sampled_from(rows[1:]))  # the first data row decides the format
+        lines[at] = ",".join([draw(_iso_near_misses(t, form, fraction()))] + rest)
     ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
     bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
     return bom + ending.join(lines) + (ending if draw(st.booleans()) else "")
@@ -387,17 +529,23 @@ def test_plain_files_load_without_the_line_parser(tmp_path, monkeypatch, text):
     "2000-02-29T12:00:00.000500001+00:00,3\n",
     "value\n0001-01-01T00:00:00,1\n1969-12-31T23:59:59,2\n9999-12-31T23:59:59,3\n",
     "2021-01-01T00:00:00.0005,1\n2021-01-01T00:00:00.0015,2\n2021-01-01T00:00:00.0025,3\n",
+    "2021-01-01T05:30:00+05:30,1\n2021-01-01T05:30:01+05:30,2\n",
+    "2021-01-01 00:00:00,1\n2021-01-01 00:00:01,2\n",
+    "2021-01-01t00:00:00,1\n2021-01-01t00:00:01,2\n",
+    "2021-01-01,1\n2021-01-02,2\n",
+    "2021-01-01 23:59-08,1\n2021-01-02 00:00-08,2\n",
+    "2021-01-01T00:00:59Z,1\n2021-01-01T00:01:00Z,2\n2021-01-01T00:01:01Z,3\n2021-01-01T01:01:01Z,4\n",
 ])
 def test_plain_iso_files_load_without_the_line_parser(tmp_path, monkeypatch, text):
     test_plain_files_load_without_the_line_parser(tmp_path, monkeypatch, text)
 
 
-# ISO files outside the plain shape, each built so that a numpy reader that
-# skipped the check in question would read rows in order and keep them.
+# ISO files whose stamps do not all have the first's shape or are out of range,
+# each built so that a numpy reader that skipped the check in question would
+# read rows in order and keep them.
 @pytest.mark.parametrize("text", [
-    "2021-01-01T05:30:00+05:30,1\n2021-01-01T05:30:01+05:30,2\n",
-    "2021-01-01 00:00:00,1\n2021-01-01 00:00:01,2\n",
-    "2021-01-01t00:00:00,1\n2021-01-01t00:00:01,2\n",
+    "2021-01-01T05:30:00+05:30,1\n2021-01-01T05:30:01-05:30,2\n",
+    "2021-01-01T00:00:00,1\n2021-01-01 00:00:01,2\n",
     "2023-02-28T00:00:00Z,1\n2023-02-29T00:00:00Z,2\n2023-03-01T00:00:00Z,3\n",
     "1900-02-28T00:00:00Z,1\n1900-02-29T00:00:00Z,2\n1900-03-01T00:00:00Z,3\n",
     "2021-01-01T23:00:00Z,1\n2021-01-01T24:00:00Z,2\n2021-01-02T00:00:00Z,3\n",
@@ -418,5 +566,19 @@ def test_iso_files_outside_the_plain_shape_read_as_the_line_parser_reads_them(tm
     expected = _outcome(lambda: _parse_lines(io.StringIO(text)))
     assert _outcome(lambda: read_series(io.StringIO(text))) == expected
     path = tmp_path / "iso.csv"
+    path.write_text(text)
+    assert _outcome(lambda: read_series(str(path))) == expected
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+@pytest.mark.parametrize("first,stamp", [("1", "2"), ("2021-01-01T00:00:00Z", "2021-01-01T00:00:01Z")])
+@pytest.mark.parametrize("before_comma", [True, False])
+def test_separator_characters_beside_a_comma_read_as_the_line_parser_reads_them(tmp_path, char, first, stamp, before_comma):
+    # np.loadtxt strips U+001C-U+001F around a number; int() and float() refuse them.
+    row = f"{stamp}{char},2" if before_comma else f"{stamp},{char}2"
+    text = f"{first},0.0\n{row}\n"
+    expected = _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert _outcome(lambda: read_series(io.StringIO(text))) == expected
+    path = tmp_path / "separators.csv"
     path.write_text(text)
     assert _outcome(lambda: read_series(str(path))) == expected
