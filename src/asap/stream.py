@@ -6,9 +6,9 @@ timestamp; sealed panes live in a ring buffer of two preallocated arrays
 (sums and start timestamps) holding the newest `capacity` panes, so memory
 stays O(capacity) no matter how long the stream runs, and the pane means are
 one slice-and-divide away at refresh time.
-Every refresh_interval sealed panes the pane means are searched again; the
-previous window seeds that search when it is still feasible, which lets the
-estimate-based pruning engage immediately.
+Every refresh_interval sealed panes the pane means are searched again, with
+the previous window as the search's seed: find_window evaluates it first and,
+when it is still feasible, the estimate-based pruning engages immediately.
 """
 from __future__ import annotations
 
@@ -16,16 +16,18 @@ from math import isfinite
 
 import numpy as np
 
-# Not called here: the benchmark's tracer wraps these two names on this module.
-from .acf import autocorrelation, find_peaks
-from .metrics import kurtosis, roughness
 from .search import MIN_POINTS, SearchState, SmoothResult, find_window, window_cap
 from .series import Series
+
+# Not called here: the benchmark's tracer wraps these names on this module.
+from .acf import autocorrelation, find_peaks
+from .metrics import kurtosis, roughness
 from .smoothing import sma
 
 
 class StreamState:
-    """Single-writer stream: ingest points, refresh the window on demand."""
+    """Single-writer stream: ingest points, refresh the window on demand,
+    seeding each search with the previous window."""
 
     def __init__(
         self,
@@ -97,18 +99,11 @@ class StreamState:
         lo = (self.sealed - n) % self.capacity
         return Series(self.starts[lo : lo + n].copy(), self.sums[lo : lo + n] / self.pane_span)
 
-    def check_last_window(self, aggregated: Series) -> SearchState:
-        """Seed state for the next search: the previous window with its true
-        roughness when it still fits and still satisfies the kurtosis
-        constraint, otherwise a fresh state."""
-        x = aggregated.values
-        w = 1 if self.last_result is None else self.last_result.window
-        if not 1 < w < x.size:
-            return SearchState()
-        y = sma(x, w)
-        if not kurtosis(y) >= kurtosis(x):  # NaN (w smooths flat) fails too
-            return SearchState()
-        return SearchState(window=w, roughness=roughness(y))
+    def check_last_window(self) -> SearchState:
+        """Seed state for the next search: the previous window, which
+        find_window evaluates first and drops when it no longer fits or no
+        longer satisfies the kurtosis constraint."""
+        return SearchState(window=1 if self.last_result is None else self.last_result.window)
 
     def maybe_refresh(self) -> SmoothResult | None:
         """Re-run the window search when enough new panes have been sealed.
@@ -126,7 +121,7 @@ class StreamState:
         if np.all(x == x[0]):
             return None
         self.panes_since_refresh = 0
-        seed = self.check_last_window(aggregated)
+        seed = self.check_last_window()
         result = find_window(aggregated, max_window=self.max_window, state=seed)
         self.last_result = result
         return result

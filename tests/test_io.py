@@ -153,7 +153,7 @@ def test_iter_rows_yields_line_numbers():
 
 def test_write_read_round_trip_is_exact():
     rng = np.random.default_rng(17)
-    s = Series.from_values(rng.normal(size=64) * 1e-3, start=1_600_000_000_000, step=60_000)
+    s = Series(1_600_000_000_000 + 60_000 * np.arange(64), rng.normal(size=64) * 1e-3)
     buf = io.StringIO()
     write_series(s, buf)
     text = buf.getvalue()

@@ -192,6 +192,6 @@ def test_series_accepts_timestamps_spanning_the_whole_int64_range():
 
 
 def test_series_from_values():
-    s = Series.from_values([1.0, 2.0, 3.0], start=100, step=10)
-    assert s.timestamps.tolist() == [100, 110, 120]
+    s = Series.from_values([1.0, 2.0, 3.0])
+    assert s.timestamps.tolist() == [0, 1, 2]
     assert len(s) == 3

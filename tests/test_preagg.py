@@ -27,7 +27,7 @@ def test_ratio_validation():
 
 
 def test_preaggregate_groups_disjoint_means():
-    s = Series.from_values([1.0, 2.0, 3.0, 4.0], start=0, step=10)
+    s = Series(10 * np.arange(4), [1.0, 2.0, 3.0, 4.0])
     out = preaggregate(s, 2)
     np.testing.assert_allclose(out.values, [1.5, 3.5])
     assert out.timestamps.tolist() == [0, 20]
@@ -55,7 +55,7 @@ def test_preaggregate_ratio_one_is_identity():
     data=st.data(),
 )
 def test_preaggregate_matches_the_loop_oracle(values, start, step, data):
-    s = Series.from_values(values, start=start, step=step)
+    s = Series(start + step * np.arange(len(values)), values)
     ratio = data.draw(st.integers(1, len(values)), label="ratio")
     out = preaggregate(s, ratio)
     np.testing.assert_allclose(out.values, sma_loop(s.values, ratio, slide=ratio), rtol=1e-12, atol=1e-6)

@@ -448,3 +448,18 @@ def test_a_result_is_measured_on_its_own_smoothed_series(s, cap, seed_window, se
     claimed = cold.roughness if seed_roughness == "true" else seed_roughness
     warm = find_window(s, max_window=cap, state=SearchState(window=w, roughness=claimed))
     assert_result_measures_its_smoothing(s, warm)
+    assert warm.window == 1 or kurtosis(warm.smoothed.values) >= kurtosis(s.values)
+
+
+# (window, candidates_evaluated) of find_window on a 4 000-point series
+# (seed 1) seeded with window 201, which lowers the kurtosis of all three,
+# and a claimed roughness of 0.0. The seed is evaluated, counted and
+# dropped, so the windows are the cold search's.
+@pytest.mark.parametrize("shape,expected", [("spike", (1, 10)), ("sine", (321, 8)), ("gaussian", (31, 9))])
+def test_a_seed_that_hides_deviations_is_dropped(shape, expected):
+    s = GENERATORS[shape](4000, 1)
+    cold = find_window(s)
+    warm = find_window(s, state=SearchState(window=201, roughness=0.0))
+    assert (warm.window, warm.candidates_evaluated) == expected
+    assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
+    assert warm.roughness.hex() == cold.roughness.hex()

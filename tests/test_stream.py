@@ -8,9 +8,9 @@ from hypothesis import strategies
 
 from _oracles import assert_result_measures_its_smoothing
 from asap.generators import GENERATORS, noisy_sine
-from asap.metrics import roughness
+from asap.metrics import kurtosis, roughness
 from asap.preagg import preaggregate
-from asap.search import SearchState, SmoothResult, find_window
+from asap.search import SmoothResult, find_window
 from asap.smoothing import sma
 from asap.series import Series
 from asap.stream import StreamState
@@ -240,13 +240,14 @@ def test_check_last_window_without_history_is_cold():
     rng = np.random.default_rng(2)
     for i in range(50):
         st.ingest(i, float(rng.normal()))
-    agg = st.aggregated()
-    state = st.check_last_window(agg)
+    state = st.check_last_window()
     assert state.window == 1
     assert math.isinf(state.roughness)
 
 
-def test_check_last_window_seeds_from_prior_result():
+def test_a_feasible_prior_window_is_found_again():
+    # The panes have not changed since the last refresh, so the window it
+    # chose is still feasible: the seeded search keeps it, measured afresh.
     raw = noisy_sine(9600, period=160, noise=0.3, seed=12)
     ratio = 4
     st = StreamState(pane_span=ratio, capacity=2400, refresh_interval=1200)
@@ -254,11 +255,12 @@ def test_check_last_window_seeds_from_prior_result():
     assert st.last_result is not None and st.last_result.window > 1
 
     agg = st.aggregated()
-    seeded = st.check_last_window(agg)
+    seed = st.check_last_window()
     w = st.last_result.window
-    assert seeded.window == w
-    assert seeded.roughness == pytest.approx(roughness(sma(agg.values, w)), rel=1e-12)
-    assert seeded.lower_bound >= 1.0
+    assert seed.window == w
+    warm = find_window(agg, state=seed)
+    assert warm.window == w
+    assert warm.roughness.hex() == roughness(sma(agg.values, w)).hex()
 
 
 def test_seeding_never_changes_the_refresh_answer():
@@ -270,7 +272,7 @@ def test_seeding_never_changes_the_refresh_answer():
 
     agg = st.aggregated()
     cold = find_window(agg)
-    warm = find_window(agg, state=st.check_last_window(agg))
+    warm = find_window(agg, state=st.check_last_window())
     assert warm.window == cold.window
 
 
@@ -291,7 +293,7 @@ def test_a_refresh_is_the_seeded_search(shape, pane_span, capacity, refresh_inte
     for t, v in zip(series.timestamps.tolist(), series.values.tolist()):
         st.ingest(t, v)
         agg = st.aggregated()
-        seed = st.check_last_window(agg)
+        seed = st.check_last_window()
         got = st.maybe_refresh()
         if got is None:
             continue
@@ -303,7 +305,8 @@ def test_a_refresh_is_the_seeded_search(shape, pane_span, capacity, refresh_inte
 
 
 def test_infeasible_prior_window_falls_back_to_cold_start():
-    # History said "smooth with w", new data disagrees: seed must be discarded.
+    # History said "smooth with w", new data disagrees: the search evaluates
+    # the seed, drops it and finds the cold answer.
     rng = np.random.default_rng(13)
     st = StreamState(pane_span=1, capacity=64, refresh_interval=10_000)
     quiet = rng.uniform(-1.0, 1.0, 64)
@@ -320,11 +323,17 @@ def test_infeasible_prior_window_falls_back_to_cold_start():
     for i, v in enumerate(spiky):
         fresh.ingest(i, float(v))
     fresh.last_result = prior
-    state = fresh.check_last_window(fresh.aggregated())
-    assert state.window == 1 and math.isinf(state.roughness)
-    assert isinstance(state, SearchState)
+    agg = fresh.aggregated()
+    assert not kurtosis(sma(agg.values, prior.window)) >= kurtosis(agg.values)
+    cold = find_window(agg)
+    warm = find_window(agg, state=fresh.check_last_window())
+    assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
+    assert warm.roughness.hex() == cold.roughness.hex()
 
-def test_check_last_window_discards_a_window_that_smooths_the_panes_flat():
+
+def test_a_prior_window_that_smooths_the_panes_flat_gives_the_cold_answer():
+    # Window 4 smooths a period-4 pattern to a constant: NaN kurtosis, which
+    # fails the constraint, so the search evaluates the seed and drops it.
     st = StreamState(pane_span=1, capacity=40, refresh_interval=10_000)
     for i, v in enumerate(np.tile([1.0, 2.0, 3.0, 4.0], 10).tolist()):
         st.ingest(i, v)
@@ -332,8 +341,11 @@ def test_check_last_window_discards_a_window_that_smooths_the_panes_flat():
     st.last_result = SmoothResult(
         window=4, smoothed=agg, roughness=0.0, kurtosis=1.0, candidates_evaluated=1
     )
-    state = st.check_last_window(agg)
-    assert state.window == 1 and math.isinf(state.roughness)
+    assert math.isnan(kurtosis(sma(agg.values, 4)))
+    cold = find_window(agg)
+    warm = find_window(agg, state=st.check_last_window())
+    assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
+    assert warm.roughness.hex() == cold.roughness.hex()
 
 
 
