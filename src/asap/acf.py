@@ -4,9 +4,12 @@ The estimator keeps a fixed lag-0 denominator:
 
     corr[t] = sum_{i<N-t} (x[i] - mean)(x[i+t] - mean) / sum_i (x[i] - mean)^2
 
-computed in O(N log N) by zero-padding the centered series to the next power
-of two at or above 2N and reading the cyclic self-correlation off an FFT.
-The test-suite checks this route against a direct O(N^2) sum.
+computed in O(N log N) by zero-padding the centered series and reading the
+cyclic self-correlation off an FFT. The padded length is `fft_size(N +
+max_lag)`: lag t picks up no wrap-around exactly when the length is at least
+N + t. The search asks for lags up to about N/10, so its FFT is about 1.1N
+points long, where a full profile takes 2N. The test-suite checks this
+route against a direct O(N^2) sum.
 """
 from __future__ import annotations
 
@@ -27,8 +30,27 @@ class AcfProfile:
     max_acf: float
 
 
+def fft_size(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c at or above m, a length pocketfft is fast at."""
+    best = 1 << max(m - 1, 0).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:
+            # The smallest power of two times `odd` at or above m.
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best
+
+
 def autocorrelation(values, max_lag: int) -> np.ndarray:
-    """Correlations for lags 0..max_lag; corr[0] is exactly 1."""
+    """Correlations for lags 0..max_lag; corr[0] is exactly 1.
+
+    The centered series is zero-padded to `fft_size(N + max_lag)` points, the
+    shortest fast length at which lags 0..max_lag pick up no wrap-around: at
+    length L the cyclic sum at lag t also adds x[i] x[i + t - L] for every
+    i >= L - t, and each such x[i] is padding when L >= N + t."""
     x = np.asarray(values, dtype=np.float64)
     n = x.size
     if n < 4:
@@ -38,7 +60,7 @@ def autocorrelation(values, max_lag: int) -> np.ndarray:
     centered = x - x.mean()
     if not np.any(centered):
         raise ValueError("autocorrelation undefined for constant series")
-    size = 1 << (2 * n - 1).bit_length()
+    size = fft_size(n + max_lag)
     spectrum = np.fft.rfft(centered, size)
     power = spectrum.real**2 + spectrum.imag**2
     raw = np.fft.irfft(power, size)[: max_lag + 1]

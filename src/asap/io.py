@@ -39,6 +39,10 @@ PLAIN_DTYPES = {
     ("single", False): np.float64,
 }
 
+# The characters str.strip takes for whitespace where int() and float() do
+# not: text beside a number or a stamp that holds one does not parse.
+SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 # The ISO-8601 timestamps: a date, optionally followed by `T`, `t` or a space
 # and a time whose fraction has 1-9 digits, then optionally `Z`, `z` or a
 # `+HH[:MM]` / `-HH[:MM]` offset. A stamp with no offset is UTC.
@@ -101,8 +105,13 @@ def _stamp_ms(text: str) -> int:
 
 
 def _parse_iso_ms(text: str) -> int:
-    # int() and float() ignore surrounding whitespace, so this does too.
-    text = text.strip()
+    # int() and float() ignore surrounding whitespace, so this does too; but
+    # they refuse U+001C-U+001F, which str.strip takes for whitespace, and the
+    # pattern refuses them inside a stamp.
+    stripped = text.strip()
+    if len(stripped) != len(text) and any(c in text for c in SEPARATORS):
+        raise ValueError("U+001C-U+001F beside a timestamp")
+    text = stripped
     # The date and minute (16 characters, or a date) and the rest after the
     # epoch's minute, split after the seconds if there is a fraction, are
     # stamps exactly when the text is one, and sum to its milliseconds; a
@@ -216,7 +225,7 @@ def _load_plain(fh: TextIO) -> Series | None:
     # around a number, where int() and float() refuse them.
     fh.seek(start)
     for chunk in iter(lambda: fh.read(1 << 20), ""):
-        if any(c in chunk for c in "\x00\x1c\x1d\x1e\x1f"):
+        if any(c in chunk for c in "\x00" + SEPARATORS):
             return None
     return series
 

@@ -13,7 +13,11 @@ from .series import Series
 
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
+    """[0, values[0], values[0] + values[1], ...] in float64, built in place."""
+    prefix = np.empty(values.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(values, dtype=np.float64, out=prefix[1:])
+    return prefix
 
 
 def _sma_from_prefix(prefix: np.ndarray, window: int) -> np.ndarray:

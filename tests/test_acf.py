@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import direct_acf, find_peaks_loop
-from asap.acf import MIN_PEAK_LAG, PEAK_THRESHOLD, AcfProfile, autocorrelation, find_peaks
+from asap.acf import MIN_PEAK_LAG, PEAK_THRESHOLD, AcfProfile, autocorrelation, fft_size, find_peaks
 
 
 def test_lag_zero_is_exactly_one():
@@ -29,6 +29,33 @@ def test_fft_matches_direct_sum_on_random_walks():
         got = autocorrelation(x, n - 1)
         want = direct_acf(x, n - 1)
         assert np.max(np.abs(got - want)) < 1e-6
+
+
+def _smallest_5_smooth_at_or_above(m):
+    k = m
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    for m in range(1, 5001):
+        assert fft_size(m) == _smallest_5_smooth_at_or_above(m), m
+
+
+@pytest.mark.parametrize("n,h", [
+    (400, 41), (3001, 301), (20_000, 2001),  # about n/10, as the search asks
+    (910, 90), (1000, 125), (99, 1),  # n + h is 5-smooth: the padding is exactly n + h
+    (932, 93), (100, 1),  # n + h - 1 is 5-smooth: one point shorter wraps lag h around
+])
+def test_short_horizons_pick_up_no_wrap_around(n, h):
+    x = np.random.default_rng(n).normal(size=n) + 0.01 * np.arange(n)
+    np.testing.assert_allclose(autocorrelation(x, h), direct_acf(x, h), rtol=0, atol=1e-9)
 
 
 def test_sine_correlates_at_its_period():

@@ -260,6 +260,25 @@ def test_iso_timestamps_refuse_a_nul(text):
         _parse_iso_ms(text)
 
 
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+@pytest.mark.parametrize("template", ["{}2021-01-01T00:00:01Z", "2021-01-01T00:00:01Z{}", " {}2021-01-01T00:00:01Z "])
+def test_iso_timestamps_refuse_separator_characters(char, template):
+    # int() and float() refuse U+001C-U+001F, though str.strip takes them for whitespace.
+    with pytest.raises(ValueError):
+        _parse_iso_ms(template.format(char))
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_separator_character_after_an_iso_timestamp_is_a_line_error(tmp_path, char):
+    text = f"2021-01-01T00:00:00Z,1\n2021-01-01T00:00:01Z{char},2\n"
+    path = tmp_path / "separator.csv"
+    path.write_text(text)
+    for read in (lambda: _parse_lines(io.StringIO(text)), lambda: read_series(io.StringIO(text)), lambda: read_series(str(path))):
+        with pytest.raises(ParseError, match="line 2: ") as caught:
+            read()
+        assert caught.value.lineno == 2
+
+
 def test_a_nul_after_an_iso_timestamp_is_a_line_error():
     text = "2023-02-28T00:00:00Z,1\n2023-02-28T00:00:01Z\x00,2\n"
     with pytest.raises(ParseError, match="line 2: ") as caught:

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import sma_loop
 from asap.metrics import kurtosis, population_std, roughness
 from asap.series import Series
-from asap.smoothing import sma, smooth_series
+from asap.smoothing import _prefix_sums, sma, smooth_series
 
 
 def test_sma_hand_computed():
@@ -35,6 +37,19 @@ def test_sma_matches_loop_oracle():
         x = rng.normal(size=n) * 10
         w = int(rng.integers(1, n + 1))
         np.testing.assert_allclose(sma(x, w), sma_loop(x, w), atol=1e-10)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(values=st.lists(st.floats(width=64), max_size=40), start=st.integers(0, 3), step=st.sampled_from([1, 2, 3, -1, -2]))
+@example(values=[], start=0, step=1)
+@example(values=[2.5], start=0, step=1)
+def test_prefix_sums_equal_a_concatenated_cumsum_bit_for_bit(values, start, step):
+    x = np.array(values, dtype=np.float64)[start::step]  # strided unless step is 1
+    with np.errstate(all="ignore"):  # sums of huge or infinite values overflow alike
+        got = _prefix_sums(x)
+        want = np.concatenate(([0.0], np.cumsum(x)))
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sma_output_length():
