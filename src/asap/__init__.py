@@ -9,7 +9,6 @@ from .acf import autocorrelation, find_peaks
 from .metrics import kurtosis, roughness, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import (
-    SearchState,
     SmoothResult,
     binary_only_search,
     estimate_roughness,
@@ -25,7 +24,6 @@ from .stream import StreamState
 __version__ = "0.1.0"
 
 __all__ = [
-    "SearchState",
     "Series",
     "SmoothResult",
     "StreamState",

@@ -18,6 +18,7 @@ from .io import DECODING, ParseError, count_rows, iter_rows, read_series, write_
 from .metrics import kurtosis, zscore
 from .preagg import point_to_pixel_ratio, preaggregate
 from .search import MIN_POINTS, binary_only_search, exhaustive_search, find_window, grid_search
+from .series import Series
 from .stream import StreamState
 from .svg import render_overlay
 
@@ -54,10 +55,19 @@ def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _zscore(series: Series) -> Series:
+    """series z-scored, or as it is when zscore refuses it for having no
+    spread: a constant series keeps window 1 either way."""
+    try:
+        return zscore(series)
+    except ValueError:
+        return series
+
+
 def cmd_smooth(args: argparse.Namespace) -> int:
     series = read_series(args.input)
     if args.zscore:
-        series = zscore(series)
+        series = _zscore(series)
     started = time.perf_counter()
     ratio = point_to_pixel_ratio(len(series), args.resolution)
     aggregated = preaggregate(series, ratio)
@@ -166,11 +176,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    series = read_series(args.input)
-    try:
-        series = zscore(series)
-    except ValueError:
-        pass  # constant input: plot it untransformed
+    series = _zscore(read_series(args.input))
     aggregated = preaggregate(series, point_to_pixel_ratio(len(series), args.resolution))
     result = STRATEGIES[args.strategy](aggregated, args.max_window)
     document = render_overlay(aggregated, result.smoothed, width=args.resolution)

@@ -7,10 +7,10 @@ same way (_try_window) inside the same frame (_run); they differ only in
 which windows they visit. An evaluation measures kurtosis first and
 roughness only when the window is feasible, and the result reuses the
 winner's evaluation instead of smoothing it again. find_window gets there
-cheaply by evaluating autocorrelation peak lags from largest to smallest
-with two pruning rules, then binary-searching the remaining gap;
-exhaustive_search is the slow reference that scans every window and is used
-as the oracle in tests.
+cheaply by walking a caller's prior window, then autocorrelation peak lags
+from largest to smallest, with two pruning rules, then binary-searching the
+remaining gap; exhaustive_search is the slow reference that scans every
+window and is used as the oracle in tests.
 
 Pruning rules, both derived from the closed-form roughness estimate for a
 window w over an N-point series with std sigma:
@@ -63,7 +63,7 @@ def acf_horizon(n: int, max_window: int | None = None) -> int:
 
 @dataclass
 class SearchState:
-    """Mutable progress of one search: best window so far and pruning bounds.
+    """Mutable progress of one search, internal to it: best window and pruning bounds.
 
     Once the search keeps a window, roughness, kurtosis and smoothed hold its
     evaluation (smoothed is None before). kurtosis and smoothed follow from
@@ -137,25 +137,22 @@ def _try_window(prefix: np.ndarray, w: int, state: SearchState, target: float) -
     return True, True
 
 
-def _prunable(state: SearchState, w: int, corr: np.ndarray) -> bool:
-    if not math.isfinite(state.roughness):
-        return False  # nothing feasible yet, so nothing to compare against
-    best_w = state.window
-    return is_rougher_estimate(w, float(corr[w]), best_w, float(corr[best_w]))
-
-
 def search_periodic(
-    prefix: np.ndarray, profile: AcfProfile, state: SearchState, target_kurtosis: float
+    prefix: np.ndarray, profile: AcfProfile, state: SearchState, target_kurtosis: float,
+    first: tuple[int, ...] = (),
 ) -> SearchState:
-    """Walk ACF peak lags from largest to smallest over the series whose
-    _prefix_sums are `prefix`, pruning as we go; each kept window raises the
-    lower bound the walk stops at."""
+    """Walk the windows in `first`, then ACF peak lags from largest to
+    smallest, over the series whose _prefix_sums are `prefix`, pruning as we
+    go; each kept window raises the lower bound the walk stops at."""
     corr = profile.correlations
-    for w in reversed(profile.peaks):
+    for w in (*first, *reversed(profile.peaks)):
         if w < state.lower_bound:
-            break  # candidates are ascending; everything left is smaller still
-        if _prunable(state, w, corr):
-            continue
+            break  # the peaks descend; every one left is smaller still
+        best = state.window
+        if math.isfinite(state.roughness) and is_rougher_estimate(
+            w, float(corr[w]), best, float(corr[best])
+        ):
+            continue  # estimated rougher than the best feasible window so far
         if _try_window(prefix, w, state, target_kurtosis)[1]:
             state.lower_bound = update_lower_bound(
                 state.lower_bound, w, float(corr[w]), profile.max_acf
@@ -212,36 +209,27 @@ def _run(series: Series, search) -> SmoothResult:
 
 
 def find_window(
-    series: Series, *, max_window: int | None = None, state: SearchState | None = None
+    series: Series, *, max_window: int | None = None, prior_window: int | None = None
 ) -> SmoothResult:
     """Pick the smoothing window with the pruned ACF-peak search plus a binary
     fallback over the uncovered gap.
 
     max_window caps the candidates through window_cap (None: its default).
-    `state` lets a caller seed the search with a window likely to be good
-    (the streaming path passes its previous window). The search evaluates
-    that window first and counts it like any other candidate; kept, it
-    raises the lower bound just as a window the peak walk keeps does, and
-    infeasible, it is dropped. Only the seed's window is read, and the seed
-    is left as it is. A seed whose window is not in [2, cap] is ignored:
-    the search runs as if it had not been given.
+    prior_window is a window likely to be good (the streaming path passes
+    its previous one): the peak walk evaluates it first and counts it like
+    any other candidate, keeps it only if it is feasible, and ignores it
+    unless 1 < prior_window <= cap.
     """
     max_window = window_cap(len(series), max_window)
+    # Checked once: from here on every window, prior or a peak, is at most
+    # the cap, so it indexes the correlations and fits the series.
+    first = (prior_window,) if prior_window is not None and 1 < prior_window <= max_window else ()
 
     def search(x, prefix, target):
-        # Checked once: from here on every window, seeded or a peak, is at
-        # most the cap, so it indexes the correlations and fits the series.
-        walk = SearchState()
-        if state is not None and 1 < state.window <= max_window:
-            _try_window(prefix, state.window, walk, target)
         acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
+        walk = search_periodic(prefix, acf, SearchState(), target, first)
         if not acf.peaks:
             return binary_search(prefix, 1, max_window, walk, target)
-        if walk.window > 1:
-            walk.lower_bound = update_lower_bound(
-                walk.lower_bound, walk.window, float(acf.correlations[walk.window]), acf.max_acf
-            )
-        search_periodic(prefix, acf, walk, target)
         head = max(math.ceil(walk.lower_bound), walk.window + 1)
         # Peaks stop one lag short of the horizon, so none lies above the cap.
         above = next((p for p in acf.peaks if p > walk.window), max_window)

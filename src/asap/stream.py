@@ -6,9 +6,9 @@ timestamp; sealed panes live in a ring buffer of two preallocated arrays
 (sums and start timestamps) holding the newest `capacity` panes, so memory
 stays O(capacity) no matter how long the stream runs, and the pane means are
 one slice-and-divide away at refresh time.
-Every refresh_interval sealed panes the pane means are searched again, with
-the previous window as the search's seed: find_window evaluates it first and,
-when it is still feasible, the estimate-based pruning engages immediately.
+Every refresh_interval sealed panes the pane means are searched again with
+the previous window as find_window's prior_window, evaluated first: when it
+is still feasible, the estimate-based pruning engages immediately.
 """
 from __future__ import annotations
 
@@ -16,18 +16,20 @@ from math import isfinite
 
 import numpy as np
 
-from .search import MIN_POINTS, SearchState, SmoothResult, find_window, window_cap
+from .search import MIN_POINTS, SmoothResult, find_window, window_cap
 from .series import Series
 
-# Not called here: the benchmark's tracer wraps these names on this module.
+# Not called here: the benchmark's tracer wraps these names on this module,
+# and check_last_window, whose SearchState result it reads .window from.
 from .acf import autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
+from .search import SearchState
 from .smoothing import sma
 
 
 class StreamState:
     """Single-writer stream: ingest points, refresh the window on demand,
-    seeding each search with the previous window."""
+    starting each search from the previous window."""
 
     def __init__(
         self,
@@ -100,9 +102,9 @@ class StreamState:
         return Series(self.starts[lo : lo + n].copy(), self.sums[lo : lo + n] / self.pane_span)
 
     def check_last_window(self) -> SearchState:
-        """Seed state for the next search: the previous window, which
-        find_window evaluates first and drops when it no longer fits or no
-        longer satisfies the kurtosis constraint."""
+        """The previous window (1 before the first refresh), as the record
+        the benchmark's tracer reads; maybe_refresh passes its window on as
+        find_window's prior_window, once per refresh."""
         return SearchState(window=1 if self.last_result is None else self.last_result.window)
 
     def maybe_refresh(self) -> SmoothResult | None:
@@ -121,7 +123,7 @@ class StreamState:
         if np.all(x == x[0]):
             return None
         self.panes_since_refresh = 0
-        seed = self.check_last_window()
-        result = find_window(aggregated, max_window=self.max_window, state=seed)
+        prior = self.check_last_window().window
+        result = find_window(aggregated, max_window=self.max_window, prior_window=prior)
         self.last_result = result
         return result

@@ -213,11 +213,14 @@ def test_smooth_too_few_rows_is_input_error(tmp_path, capsys):
 
 
 
-def test_smooth_constant_input_writes_null_kurtosis(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--zscore"]])
+def test_smooth_constant_input_writes_null_kurtosis(tmp_path, capsys, extra):
+    # A constant file has no spread to z-score; --zscore leaves it as it is,
+    # as `asap plot` does.
     path = tmp_path / "flat.csv"
     path.write_text("".join(f"{t},7.5\n" for t in range(5)))
     meta_path = str(tmp_path / "meta.json")
-    code, out, _ = run_cli(["smooth", "--input", str(path), "--meta", meta_path], capsys)
+    code, out, _ = run_cli(["smooth", "--input", str(path), "--meta", meta_path, *extra], capsys)
     assert code == EXIT_OK
     meta = _strict_json(Path(meta_path).read_text())
     assert meta["kurtosis_before"] is None and meta["kurtosis_after"] is None

@@ -242,27 +242,10 @@ def test_seeded_state_does_not_change_the_answer():
     s = noisy_sine(6000, period=40, noise=0.4, seed=42)
     cold = find_window(s)
 
-    seed = SearchState(window=cold.window, roughness=cold.roughness)
-    warm = find_window(s, state=seed)
+    warm = find_window(s, prior_window=cold.window)
     assert warm.window == cold.window
     assert warm.roughness == pytest.approx(cold.roughness, rel=1e-12)
     assert warm.candidates_evaluated <= cold.candidates_evaluated
-
-
-def test_a_seed_is_read_not_written():
-    # Only the seed's window and roughness reach the search: the object is
-    # left as built, so reusing it repeats the answer and the count, and a
-    # caller's lower bound or evaluation count does not leak in.
-    s = GENERATORS["sine"](800, 0)
-    cold = find_window(s)
-    seed = SearchState(window=cold.window, roughness=cold.roughness)
-    built = SearchState(window=cold.window, roughness=cold.roughness)
-    runs = [find_window(s, state=seed) for _ in range(2)]
-    assert [(r.window, r.candidates_evaluated) for r in runs] == [(64, 5), (64, 5)]
-    assert seed == built
-    stale = SearchState(window=cold.window, roughness=cold.roughness, lower_bound=500.0, evaluations=7)
-    got = find_window(s, state=stale)
-    assert (got.window, got.candidates_evaluated) == (64, 5)
 
 
 def test_exhaustive_search_counts_every_candidate():
@@ -377,7 +360,7 @@ PINNED_SEARCHES = [
 def test_every_strategy_keeps_its_pinned_answer(shape, cap, expected):
     s = GENERATORS[shape](800, 0)
     cold = find_window(s, max_window=cap)
-    warm = find_window(s, max_window=cap, state=SearchState(window=cold.window, roughness=cold.roughness))
+    warm = find_window(s, max_window=cap, prior_window=cold.window)
     results = [
         cold,
         exhaustive_search(s, cap),
@@ -396,20 +379,21 @@ def test_searches_stay_within_the_cap_whatever_seed_or_profile_they_get(shape, c
     n, c = len(s), window_cap(len(s), cap)
     for search in STRATEGIES.values():
         assert 1 <= search(s, cap).window <= c
-    # find_window searches around a seed outside [1, cap] as if it had not
-    # been given. The seeded roughness is far below any real one, so a seed
-    # that were used would win.
+    # find_window searches around a prior window outside [2, cap] as if it
+    # had not been given.
     plain = find_window(s, max_window=cap)
     want = (plain.window, plain.candidates_evaluated, plain.roughness)
-    for w in (0, -3, c + 1, n - 1, n + 100):
-        got = find_window(s, max_window=cap, state=SearchState(window=w, roughness=1e-9))
+    for w in (1, 0, -3, c + 1, n - 1, n + 100):
+        got = find_window(s, max_window=cap, prior_window=w)
         assert (got.window, got.candidates_evaluated, got.roughness) == want, w
 
 
-@pytest.mark.parametrize("k", [-500, -400, -300, -260, 200, 250])
+@pytest.mark.parametrize("k", [-500, -400, -300, -260, -1, 1, 100, 200, 250])
 def test_searches_are_unchanged_by_a_power_of_two_scale(k):
     # Every step of a search is exact under x * 2**k in this range, the
-    # kurtosis of a spread whose m2 * m2 would be subnormal included.
+    # kurtosis of a spread whose m2 * m2 would be subnormal included: the
+    # same windows, counts and kurtosis, and roughness and smoothed values
+    # scaled by exactly 2**k.
     for shape in sorted(GENERATORS):
         for seed in range(3):
             s = GENERATORS[shape](2000, seed)
@@ -417,6 +401,9 @@ def test_searches_are_unchanged_by_a_power_of_two_scale(k):
             for search in (find_window, exhaustive_search, binary_only_search):
                 base, got = search(s), search(scaled)
                 assert (got.window, got.candidates_evaluated) == (base.window, base.candidates_evaluated)
+                assert got.kurtosis.hex() == base.kurtosis.hex()
+                assert got.roughness.hex() == math.ldexp(base.roughness, k).hex()
+                assert got.smoothed.values.tobytes() == np.ldexp(base.smoothed.values, k).tobytes()
 
 
 @hs.composite
@@ -434,32 +421,30 @@ def search_inputs(draw):
     s=search_inputs(),
     cap=hs.none() | hs.integers(1, 60),
     seed_window=hs.sampled_from(["good", 0, -2, "above cap", "past the end", 2, 3]),
-    seed_roughness=hs.sampled_from(["true", 0.0, 1e-9, 0.5, 2.0, 1e9]),
 )
-def test_a_result_is_measured_on_its_own_smoothed_series(s, cap, seed_window, seed_roughness):
-    # Whatever the strategy, and whatever window and roughness a seed claims,
-    # a result reports its own window's smoothing and measurements of it.
+def test_a_result_is_measured_on_its_own_smoothed_series(s, cap, seed_window):
+    # Whatever the strategy, and whatever prior window find_window gets, a
+    # result reports its own window's smoothing and measurements of it.
     for search in STRATEGIES.values():
         assert_result_measures_its_smoothing(s, search(s, cap))
     cold = find_window(s, max_window=cap)
     w = {"good": cold.window, "above cap": window_cap(len(s), cap) + 1, "past the end": len(s) + 5}.get(
         seed_window, seed_window
     )
-    claimed = cold.roughness if seed_roughness == "true" else seed_roughness
-    warm = find_window(s, max_window=cap, state=SearchState(window=w, roughness=claimed))
+    warm = find_window(s, max_window=cap, prior_window=w)
     assert_result_measures_its_smoothing(s, warm)
     assert warm.window == 1 or kurtosis(warm.smoothed.values) >= kurtosis(s.values)
 
 
 # (window, candidates_evaluated) of find_window on a 4 000-point series
-# (seed 1) seeded with window 201, which lowers the kurtosis of all three,
-# and a claimed roughness of 0.0. The seed is evaluated, counted and
-# dropped, so the windows are the cold search's.
+# (seed 1) given prior window 201, which lowers the kurtosis of all three.
+# The prior window is evaluated, counted and dropped, so the windows are the
+# cold search's.
 @pytest.mark.parametrize("shape,expected", [("spike", (1, 10)), ("sine", (321, 8)), ("gaussian", (31, 9))])
 def test_a_seed_that_hides_deviations_is_dropped(shape, expected):
     s = GENERATORS[shape](4000, 1)
     cold = find_window(s)
-    warm = find_window(s, state=SearchState(window=201, roughness=0.0))
+    warm = find_window(s, prior_window=201)
     assert (warm.window, warm.candidates_evaluated) == expected
     assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
     assert warm.roughness.hex() == cold.roughness.hex()

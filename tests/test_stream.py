@@ -258,7 +258,7 @@ def test_a_feasible_prior_window_is_found_again():
     seed = st.check_last_window()
     w = st.last_result.window
     assert seed.window == w
-    warm = find_window(agg, state=seed)
+    warm = find_window(agg, prior_window=seed.window)
     assert warm.window == w
     assert warm.roughness.hex() == roughness(sma(agg.values, w)).hex()
 
@@ -272,7 +272,7 @@ def test_seeding_never_changes_the_refresh_answer():
 
     agg = st.aggregated()
     cold = find_window(agg)
-    warm = find_window(agg, state=st.check_last_window())
+    warm = find_window(agg, prior_window=st.check_last_window().window)
     assert warm.window == cold.window
 
 
@@ -285,8 +285,8 @@ def test_seeding_never_changes_the_refresh_answer():
     cap=strategies.none() | strategies.integers(1, 40),
 )
 def test_a_refresh_is_the_seeded_search(shape, pane_span, capacity, refresh_interval, cap):
-    # A refresh adds nothing to find_window but the previous window as a
-    # seed: same window, same count, same roughness bits.
+    # A refresh adds nothing to find_window but the previous window as its
+    # prior_window: same window, same count, same roughness bits.
     series = GENERATORS[shape](480, 0)
     st = StreamState(pane_span, capacity, refresh_interval, max_window=cap)
     refreshes = 0
@@ -298,7 +298,7 @@ def test_a_refresh_is_the_seeded_search(shape, pane_span, capacity, refresh_inte
         if got is None:
             continue
         refreshes += 1
-        want = find_window(agg, max_window=cap, state=seed)
+        want = find_window(agg, max_window=cap, prior_window=seed.window)
         assert (got.window, got.candidates_evaluated) == (want.window, want.candidates_evaluated)
         assert got.roughness.hex() == want.roughness.hex()
     assert refreshes >= 1
@@ -326,7 +326,7 @@ def test_infeasible_prior_window_falls_back_to_cold_start():
     agg = fresh.aggregated()
     assert not kurtosis(sma(agg.values, prior.window)) >= kurtosis(agg.values)
     cold = find_window(agg)
-    warm = find_window(agg, state=fresh.check_last_window())
+    warm = find_window(agg, prior_window=fresh.check_last_window().window)
     assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
     assert warm.roughness.hex() == cold.roughness.hex()
 
@@ -343,7 +343,7 @@ def test_a_prior_window_that_smooths_the_panes_flat_gives_the_cold_answer():
     )
     assert math.isnan(kurtosis(sma(agg.values, 4)))
     cold = find_window(agg)
-    warm = find_window(agg, state=st.check_last_window())
+    warm = find_window(agg, prior_window=st.check_last_window().window)
     assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
     assert warm.roughness.hex() == cold.roughness.hex()
 
@@ -360,8 +360,8 @@ def test_explicit_config_caps_stream_window():
 @pytest.mark.parametrize("cap", [None, 5])
 @pytest.mark.parametrize("shape", sorted(GENERATORS))
 def test_every_refresh_is_measured_on_its_own_smoothed_panes(shape, cap):
-    # Seeded refreshes included: the previous window's roughness, which the
-    # seed carries, never stands in for a measurement of the result.
+    # Seeded refreshes included: the previous result's roughness never
+    # stands in for a measurement of the new one.
     st = StreamState(pane_span=2, capacity=80, refresh_interval=3, max_window=cap)
     series = GENERATORS[shape](900, 1)
     refreshes = 0
