@@ -8,13 +8,18 @@ detected once per file from the first data row.
 `iter_rows` is the definition of that format and words every error.
 `read_series` first hands a plain file (see `_load_plain`) to numpy's C
 loader and keeps its arrays only when they are what `iter_rows` would give;
-anything else goes through `iter_rows`. Both read ISO stamps by `ISO_STAMP`
-and `_epoch_ms`.
+anything else goes through `iter_rows`. numpy reads a file named by a path
+in blocks and an open stream line by line, so a path reaches it as a path
+unless the file is a pipe or FIFO (read once, by `iter_rows`), or its name
+ends in a suffix numpy would decompress by or its header is not UTF-8 (read
+as a stream). Both parsers read ISO stamps by `ISO_STAMP` and `_epoch_ms`.
 """
 from __future__ import annotations
 
+import os
 import re
 import warnings
+from contextlib import nullcontext
 from functools import lru_cache
 from itertools import chain
 from math import isfinite
@@ -38,6 +43,11 @@ PLAIN_DTYPES = {
     ("double", True): [("t", "S36"), ("v", np.float64)],
     ("single", False): np.float64,
 }
+
+# The file name suffixes by which np.loadtxt decompresses a path it is given
+# (numpy.lib._datasource, which matches them case-sensitively): a file so
+# named goes to numpy as an open stream, read as the text it holds.
+COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 # The characters str.strip takes for whitespace where int() and float() do
 # not: text beside a number or a stamp that holds one does not parse.
@@ -190,17 +200,23 @@ def count_rows(lines: Iterable[str]) -> int:
     return 1 + sum(1 for line in lines if line.strip())
 
 
-def _load_plain(fh: TextIO) -> Series | None:
+def _load_plain(fh: TextIO, path: str | None) -> Series | None:
     """The file from the current position through one `np.loadtxt` call, or
-    None to leave it to the line parser.
+    None to leave it to the line parser. `fh` is seekable; `path` is the name
+    it was opened by, or None for a stream the caller opened.
 
     Taken only for a plain shape: no byte-order mark, at most one line before
     the first data row (a header, which `_detect_mode` rejects), and a first
-    data row of integer-ms, value-only or ISO form. Kept only when numpy raises
-    and warns nothing (numpy 1.x warns when it truncates `5.0` into an int),
-    `_iso_series` takes an ISO file, `Series` accepts the arrays and the file
-    holds no NUL or U+001C-U+001F: then `iter_rows` reads the same rows."""
-    for _ in range(2):
+    data row of integer-ms, value-only or ISO form. numpy gets `path`, which
+    it opens and reads in blocks, unless the name ends in a suffix it would
+    decompress by (`COMPRESSED`) or the header is not UTF-8; otherwise it
+    gets `fh`, which it iterates one Python string per line. Kept only when
+    numpy raises and warns nothing (numpy 1.x warns when it truncates `5.0`
+    into an int; numpy decodes a path as strict UTF-8), `_iso_series` takes
+    an ISO file, `Series` accepts the arrays and the text numpy read holds no
+    NUL or U+001C-U+001F: then `iter_rows` reads the same rows."""
+    header = ""
+    for skip in range(2):
         start = fh.tell()
         line = fh.readline()
         if line.startswith("\ufeff"):
@@ -208,18 +224,33 @@ def _load_plain(fh: TextIO) -> Series | None:
         mode = _detect_mode(line.strip().split(","))
         if mode is not None:
             break
+        header = line
     if mode not in PLAIN_DTYPES:
         return None
-    fh.seek(start)  # the table holds the data row just read, so it is never empty
+    # numpy decodes the header it skips as strict UTF-8, so a header holding
+    # a byte `DECODING` escaped (a cp1252 export's, say) would fail it; and it
+    # reads a `scheme://host/...` string as a URL, which an absolute path
+    # never is. A relative one is joined to the working directory, not
+    # normalised: `link/../x` names what the kernel finds through the link.
+    utf8_header = not any("\udc80" <= c <= "\udcff" for c in header)
+    if path is not None and not path.endswith(COMPRESSED) and utf8_header:
+        source = path if os.path.isabs(path) else os.path.join(os.getcwd(), path)
+        start = 0
+    else:
+        source, skip = fh, 0
+        fh.seek(start)  # the table holds the data row just read, so it is never empty
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(fh, dtype=PLAIN_DTYPES[mode], delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(
+                source, dtype=PLAIN_DTYPES[mode], delimiter=",", comments=None, skiprows=skip, encoding="utf-8",
+                ndmin=1,
+            )
         if mode[0] == "single":
             series = Series.from_values(table)
         else:
             series = _iso_series(table) if mode[1] else Series(table["t"], table["v"])
-    except (ValueError, OverflowError, Warning):
+    except (ValueError, OverflowError, OSError, Warning):
         return None
     # np.loadtxt drops trailing NULs from a bytes field and strips U+001C-U+001F
     # around a number, where int() and float() refuse them.
@@ -268,16 +299,16 @@ def _iso_series(table: np.ndarray) -> Series:
 
 def read_series(source: str | TextIO) -> Series:
     """Parse a whole CSV file (path or open text stream) into a Series."""
-    if isinstance(source, str):
-        with open(source, **DECODING) as fh:
-            return read_series(fh)
-    if source.seekable():
-        start = source.tell()
-        series = _load_plain(source)
-        if series is not None:
-            return series
-        source.seek(start)
-    return _parse_lines(source)
+    path = source if isinstance(source, str) else None
+    with open(path, **DECODING) if path is not None else nullcontext(source) as fh:
+        # A pipe or FIFO is read once, by the line parser.
+        if fh.seekable():
+            start = fh.tell()
+            series = _load_plain(fh, path)
+            if series is not None:
+                return series
+            fh.seek(start)
+        return _parse_lines(fh)
 
 
 def _parse_lines(source: Iterable[str]) -> Series:

@@ -115,6 +115,18 @@ def test_smooth_single_column_and_iso_inputs(tmp_path, capsys):
     assert first.split(",")[0] == "1609459200000"
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_smooth_reads_a_plain_file_named_like_a_compressed_one(sine_csv, tmp_path, capsys, suffix):
+    # np.loadtxt would decompress a path so named.
+    named = tmp_path / f"data.csv{suffix}"
+    named.write_bytes(Path(sine_csv).read_bytes())
+    expected = run_cli(["smooth", "--input", sine_csv], capsys)
+    code, out, err = run_cli(["smooth", "--input", str(named)], capsys)
+    assert code == EXIT_OK
+    assert out == expected[1]
+    assert "Traceback" not in err
+
+
 def test_smooth_survives_a_closed_stdout_pipe(sine_csv, monkeypatch, capsys):
     class ClosedPipe(io.StringIO):
         def write(self, text):

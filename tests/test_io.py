@@ -1,5 +1,7 @@
 """CSV reading and writing: formats, line numbers, round trips."""
 import io
+import os
+import threading
 from datetime import datetime, timedelta
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import asap.io
 from asap.io import (
-    DECODING, ParseError, _parse_iso_ms, _parse_lines, count_rows, iter_rows, read_series, write_series,
+    COMPRESSED, DECODING, ParseError, _parse_iso_ms, _parse_lines, count_rows, iter_rows, read_series, write_series,
 )
 from asap.series import Series
 
@@ -601,3 +603,130 @@ def test_separator_characters_beside_a_comma_read_as_the_line_parser_reads_them(
     path = tmp_path / "separators.csv"
     path.write_text(text)
     assert _outcome(lambda: read_series(str(path))) == expected
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """(what np.loadtxt was given to read, skiprows) of each call."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        calls.append((source, kwargs.get("skiprows", 0)))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(asap.io.np, "loadtxt", spy)
+    return calls
+
+
+@pytest.mark.parametrize("text,skip", [("7,0.5\n8,0.25\n", 0), ("timestamp,value\n7,0.5\n8,0.25\n", 1),
+                                       (" \n0.5\n0.25\n", 1), ("2021-01-01T00:00:00Z,1\n", 0)])
+def test_a_regular_file_reaches_numpy_by_its_path(tmp_path, monkeypatch, loadtxt_sources, text, skip):
+    # numpy reads a path in blocks, and a stream one Python string per line.
+    (tmp_path / "plain.csv").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    expected = _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert _outcome(lambda: read_series("plain.csv")) == expected
+    assert loadtxt_sources == [(str(tmp_path / "plain.csv"), skip)]
+
+
+def test_a_header_that_is_not_utf8_keeps_the_file_on_numpy(tmp_path, monkeypatch, loadtxt_sources):
+    # numpy decodes a path strictly, the header it skips too.
+    path = tmp_path / "cp1252.csv"
+    path.write_bytes("température,valeur\n7,0.5\n8,0.25\n".encode("cp1252"))
+
+    def no_line_parser(lines):
+        raise AssertionError("the line parser ran on a plain file")
+
+    monkeypatch.setattr(asap.io, "iter_rows", no_line_parser)
+    assert read_series(str(path)).values.tolist() == [0.5, 0.25]
+    assert [(type(source), skip) for source, skip in loadtxt_sources] == [(io.TextIOWrapper, 0)]
+
+
+def test_a_relative_path_shaped_like_a_url_is_read_as_a_file(tmp_path, monkeypatch, loadtxt_sources):
+    # numpy fetches a `scheme://host/...` string it is given; a refused
+    # localhost port makes a regression fail at once.
+    folder = tmp_path / "http:" / "localhost:1"
+    folder.mkdir(parents=True)
+    (folder / "x.csv").write_text("7,0.5\n8,0.25\n")
+    monkeypatch.chdir(tmp_path)
+    assert read_series("http://localhost:1/x.csv").timestamps.tolist() == [7, 8]
+    [(source, skip)] = loadtxt_sources
+    assert source.startswith(os.sep) and os.path.samefile(source, folder / "x.csv") and skip == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+@pytest.mark.parametrize("decoy", [True, False])
+def test_a_path_through_a_link_reaches_numpy_meaning_the_file_that_was_opened(tmp_path, monkeypatch, loadtxt_sources,
+                                                                             decoy):
+    # `link/../data.csv` climbs out of the link's target, not out of `link`:
+    # a path tidied as text would name `work/data.csv`.
+    text = "timestamp,value\n7,0.5\n8,0.25\n"
+    (tmp_path / "elsewhere" / "dir").mkdir(parents=True)
+    (tmp_path / "elsewhere" / "data.csv").write_text(text)
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "link").symlink_to(tmp_path / "elsewhere" / "dir", target_is_directory=True)
+    if decoy:
+        (work / "data.csv").write_text("timestamp,value\n1,9.5\n2,9.25\n")
+    monkeypatch.chdir(work)
+    assert _outcome(lambda: read_series("link/../data.csv")) == _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert [(type(source), skip) for source, skip in loadtxt_sources] == [(str, 1)]
+
+
+def test_a_file_removed_after_it_was_opened_is_read_through_the_open_handle(tmp_path, monkeypatch):
+    # numpy opens the path afresh and finds nothing: the line parser reads
+    # the handle read_series holds.
+    text = "7,0.5\n8,0.25\n"
+    path = tmp_path / "gone.csv"
+    path.write_text(text)
+    loadtxt = np.loadtxt
+
+    def remove_first(source, *args, **kwargs):
+        if isinstance(source, str):
+            os.remove(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(asap.io.np, "loadtxt", remove_first)
+    assert _outcome(lambda: read_series(str(path))) == _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert not path.exists()
+
+
+def test_an_open_stream_reaches_numpy_as_itself(loadtxt_sources):
+    stream = io.StringIO("timestamp,value\n7,0.5\n8,0.25\n")
+    assert read_series(stream).timestamps.tolist() == [7, 8]
+    assert loadtxt_sources == [(stream, 0)]
+
+
+def test_every_suffix_numpy_decompresses_is_guarded():
+    from numpy.lib import _datasource
+
+    assert {suffix for suffix in _datasource._file_openers.keys() if suffix} <= set(COMPRESSED)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("text", ["timestamp,value\n7,0.5\n8,0.25\n", "7,0.5\n8,oops\n"])
+def test_a_plain_file_named_like_a_compressed_one_is_read_as_text(tmp_path, loadtxt_sources, suffix, text):
+    path = tmp_path / f"data.csv{suffix}"
+    path.write_text(text)
+    assert _outcome(lambda: read_series(str(path))) == _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert all(not isinstance(source, str) for source, _ in loadtxt_sources)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("text", ["timestamp,value\n7,0.5\n8,0.25\n", "0.5\n0.25\n", "7,0.5\n8,oops\n"])
+def test_a_fifo_is_read_once_by_the_line_parser(tmp_path, loadtxt_sources, text):
+    fifo = tmp_path / "feed.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    got = _outcome(lambda: read_series(str(fifo)))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _outcome(lambda: _parse_lines(io.StringIO(text)))
+    assert all(source != str(fifo) for source, _ in loadtxt_sources)
