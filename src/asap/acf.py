@@ -14,6 +14,7 @@ route against a direct O(N^2) sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +31,12 @@ class AcfProfile:
     max_acf: float
 
 
+@lru_cache(maxsize=128)
 def fft_size(m: int) -> int:
-    """The smallest 2**a * 3**b * 5**c at or above m, a length pocketfft is fast at."""
+    """The smallest 2**a * 3**b * 5**c at or above m, a length pocketfft is fast at.
+
+    Memoized: a stream asks for the same length at every refresh, and the
+    loops below cost several microseconds a call."""
     best = 1 << max(m - 1, 0).bit_length()
     power5 = 1
     while power5 < best:
@@ -57,8 +62,10 @@ def autocorrelation(values, max_lag: int) -> np.ndarray:
         raise ValueError("need at least 4 points for autocorrelation")
     if not 1 <= max_lag < n:
         raise ValueError(f"max_lag must be in [1, {n - 1}], got {max_lag}")
-    centered = x - x.mean()
-    if not np.any(centered):
+    # np.add.reduce(x) / n is x.mean()'s own float64 reduction, bit for bit,
+    # without its Python-level dispatch.
+    centered = x - np.add.reduce(x) / n
+    if not centered.any():
         raise ValueError("autocorrelation undefined for constant series")
     size = fft_size(n + max_lag)
     spectrum = np.fft.rfft(centered, size)

@@ -103,8 +103,17 @@ def cmd_stream(args: argparse.Namespace) -> int:
             sys.stdin.reconfigure(**DECODING)
         return _replay(iter_rows(sys.stdin), args.ratio or 1, args)
     with open(args.input, **DECODING) as fh:
+        if args.ratio is not None:
+            return _replay(iter_rows(fh), args.ratio, args)
         # Two passes, so memory stays O(capacity): count the rows, then stream them.
-        ratio = args.ratio or max(1, count_rows(fh) // args.resolution)
+        if not fh.seekable():
+            print(
+                f"error: cannot count the rows of {args.input}, which is not seekable (a pipe?); "
+                "give --ratio, or feed it to --stdin, where --ratio defaults to 1",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
+        ratio = max(1, count_rows(fh) // args.resolution)
         fh.seek(0)
         return _replay(iter_rows(fh), ratio, args)
 

@@ -92,10 +92,14 @@ def _epoch_ms(year, month, day, hour, minute, second, nanosecond, sign, offset_h
         (year < 1) | (month < 1) | (month > 12) | (day < 1) | (days >= _days(year, month + 1, 1))
         | (hour > 23) | (minute > 59) | (second > 59) | (offset_hour > 23) | (offset_minute > 59)
     )
-    ms, rest = divmod(nanosecond, 1_000_000)
-    ms += rest + ms % 2 > 500_000
     minutes = (days * 24 + hour - sign * offset_hour) * 60 + minute - sign * offset_minute
-    return ms + (minutes * 60 + second) * 1000, bad
+    return _fraction_ms(nanosecond) + (minutes * 60 + second) * 1000, bad
+
+
+def _fraction_ms(nanosecond):
+    """A fraction of a second in ns, rounded half to even to whole ms."""
+    ms, rest = divmod(nanosecond, 1_000_000)
+    return ms + (rest + ms % 2 > 500_000)
 
 
 @lru_cache(maxsize=4096)
@@ -128,8 +132,22 @@ def _parse_iso_ms(text: str) -> int:
     # file's rows share most such parts, which `_stamp_ms` caches.
     head, rest, epoch = text[:16], text[16:], "1970-01-01T00:00"
     if rest.startswith(":") and "." in rest:
-        return _stamp_ms(head) + _stamp_ms(epoch + rest[:3]) + _stamp_ms(epoch + ":00" + rest[3:])
+        return _stamp_ms(head) + _stamp_ms(epoch + rest[:3]) + _fraction_and_zone_ms(rest[3:])
     return _stamp_ms(head) + _stamp_ms(epoch + rest)
+
+
+@lru_cache(maxsize=4096)
+def _fraction_and_zone_ms(tail: str) -> int:
+    """`_stamp_ms` of `1970-01-01T00:00:00` and `tail`, what follows a
+    stamp's seconds. A fraction of 1-9 ASCII digits is converted here and
+    the zone after it read as a stamp of its own: stamps whose digits
+    change from row to row miss this cache on every row, and a miss costs
+    well under a whole-stamp parse."""
+    zone = tail[1:].lstrip("0123456789")
+    digits = tail[1 : len(tail) - len(zone)]
+    if tail.startswith(".") and 1 <= len(digits) <= 9:
+        return _stamp_ms("1970-01-01T00:00:00.0" + zone) + _fraction_ms(int(digits.ljust(9, "0")))
+    return _stamp_ms("1970-01-01T00:00:00" + tail)
 
 
 def _detect_mode(parts: list[str]) -> tuple[str, bool] | None:

@@ -192,13 +192,15 @@ def _run(series: Series, search) -> SmoothResult:
     if x.size < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
     target = kurtosis(x)
-    state = SearchState() if np.all(x == x[0]) else search(x, _prefix_sums(x), target)
+    state = SearchState() if (x == x[0]).all() else search(x, _prefix_sums(x), target)
     w = state.window
     if w == 1:
         smoothed, r, k = series, roughness(x), target
     else:
+        # A kept window passed kurtosis(y) >= target, which a NaN or an
+        # infinity in y fails, and its stamps are a prefix of valid ones.
         y = state.smoothed
-        smoothed, r, k = Series(series.timestamps[: y.size], y), state.roughness, state.kurtosis
+        smoothed, r, k = Series._unchecked(series.timestamps[: y.size], y), state.roughness, state.kurtosis
     return SmoothResult(
         window=w,
         smoothed=smoothed,

@@ -96,10 +96,13 @@ class StreamState:
             self._open_count = 0
 
     def aggregated(self) -> Series:
-        """Pane means as a Series, oldest first (sealed panes only)."""
+        """Pane means as a Series, oldest first (sealed panes only).
+
+        Built unchecked: ingest admits only finite pane sums and in-order
+        int64 stamps, so the means are finite and the starts non-decreasing."""
         n = min(self.sealed, self.capacity)
         lo = (self.sealed - n) % self.capacity
-        return Series(self.starts[lo : lo + n].copy(), self.sums[lo : lo + n] / self.pane_span)
+        return Series._unchecked(self.starts[lo : lo + n].copy(), self.sums[lo : lo + n] / self.pane_span)
 
     def check_last_window(self) -> SearchState:
         """The previous window (1 before the first refresh), as the record
@@ -120,7 +123,7 @@ class StreamState:
             return None
         aggregated = self.aggregated()
         x = aggregated.values
-        if np.all(x == x[0]):
+        if (x == x[0]).all():
             return None
         self.panes_since_refresh = 0
         prior = self.check_last_window().window

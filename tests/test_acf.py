@@ -46,6 +46,33 @@ def _smallest_5_smooth_at_or_above(m):
 def test_fft_size_is_the_smallest_5_smooth_length():
     for m in range(1, 5001):
         assert fft_size(m) == _smallest_5_smooth_at_or_above(m), m
+    # Memoized, in a bounded cache: the lengths just asked for come from it.
+    assert fft_size.cache_info().maxsize is not None and fft_size.cache_info().maxsize <= 1024
+    hits = fft_size.cache_info().hits
+    for m in range(4991, 5001):
+        assert fft_size(m) == _smallest_5_smooth_at_or_above(m), m
+    assert fft_size.cache_info().hits == hits + 10
+
+
+# Values that push a float64 sum to its edges: overflow to inf, inf - inf,
+# and subnormals whose sums lose nothing.
+EDGE_VALUES = np.array([1e300, -1e300, 1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20_000), st.integers(0, 2**32 - 1), st.floats(0, 1), st.sampled_from([1, 1, 2, 3]))
+def test_a_reduced_sum_over_n_is_the_mean_bit_for_bit(n, seed, edge_share, stride):
+    # autocorrelation (and metrics) center with np.add.reduce(x) / n, which
+    # must be np.mean's own float64 result, NaN and inf included.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 10.0 ** rng.integers(-300, 300), n * stride)
+    edges = rng.random(x.size) < edge_share
+    x[edges] = rng.choice(EDGE_VALUES, edges.sum())
+    x = x[::stride]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced, mean = np.add.reduce(x) / x.size, x.mean()
+    assert type(reduced) is type(mean) is np.float64
+    assert np.array(reduced).tobytes() == np.array(mean).tobytes()
 
 
 @pytest.mark.parametrize("n,h", [

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -303,6 +304,44 @@ def test_stream_replays_file_and_matches_batch(sine_csv, tmp_path, capsys):
     meta_path = str(tmp_path / "batch.json")
     run_cli(["smooth", "--input", sine_csv, "--resolution", "1200", "--meta", meta_path], capsys)
     assert records[-1]["window"] == read_meta(meta_path)["window"]
+
+
+def _stream_fifo(tmp_path, text, argv, capsys):
+    """run_cli on `asap stream --input <fifo>`, `text` written into it from a thread."""
+    fifo = tmp_path / "feed.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            pass  # the reader gave up without reading
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    outcome = run_cli(["stream", "--input", str(fifo), *argv], capsys)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return outcome
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_stream_reads_a_pipe_once_when_given_the_ratio(sine_csv, tmp_path, capsys):
+    argv = ["--refresh", "5", "--resolution", "100", "--ratio", "10"]
+    want = run_cli(["stream", "--input", sine_csv, *argv], capsys)
+    code, out, _ = _stream_fifo(tmp_path, Path(sine_csv).read_text(encoding="utf-8"), argv, capsys)
+    assert code == want[0] == EXIT_OK
+    assert out == want[1] and out.count("\n") == 600 // 5
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_stream_needs_the_ratio_for_a_pipe(sine_csv, tmp_path, capsys):
+    text = Path(sine_csv).read_text(encoding="utf-8")
+    code, out, err = _stream_fifo(tmp_path, text, ["--refresh", "5", "--resolution", "100"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "--ratio" in err and "--stdin" in err and "Traceback" not in err
 
 
 def test_stream_from_stdin(monkeypatch, capsys):

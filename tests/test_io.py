@@ -446,6 +446,21 @@ def test_a_stamp_read_in_parts_reads_as_when_read_whole(text):
     assert _ms_or_error(_parse_iso_ms, text) == _ms_or_error(whole, text.strip())
 
 
+@settings(max_examples=1000, deadline=None)
+@given(
+    ISO_STARTS, st.sampled_from("Tt "),
+    st.one_of(st.none(), st.text("0123456789", max_size=10), st.text("0123456789\u0663\uff15\u00b2.", max_size=10)),
+    st.sampled_from(["", "Z", "z", "+00:00", "-07:30", "+05", "+14:00", "+24:00", "+05:60", "+0530", "\u0663", "Z9", "5"]),
+)
+def test_a_fraction_converted_on_its_own_reads_as_the_whole_stamp(t, sep, fraction, zone):
+    # _parse_iso_ms converts 1-9 ASCII fraction digits itself and reads the
+    # zone after them as a part of its own; any other tail after the seconds
+    # is read as a stamp.
+    text = _render(("second", sep, 0, ""), _fields(t)) + ("" if fraction is None else "." + fraction) + zone
+    whole = asap.io._stamp_ms.__wrapped__
+    assert _ms_or_error(_parse_iso_ms, text) == _ms_or_error(whole, text)
+
+
 @st.composite
 def csv_texts(draw):
     iso = draw(st.booleans())  # timestamps in one ISO form per file
