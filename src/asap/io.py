@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .series import Series
+from .series import Series, point_error
 
 
 # How every input source is decoded: a byte that is not UTF-8 becomes a lone
@@ -338,14 +338,11 @@ def _parse_lines(source: Iterable[str]) -> Series:
     for lineno, t, v in iter_rows(source):
         if t is None:
             raise ParseError(lineno, v)
-        # Checked here rather than in iter_rows, which `asap stream` reads: a
-        # stream drops such a row with a warning and goes on.
-        if not isfinite(v):
-            raise ParseError(lineno, f"non-finite value {v!r}")
-        if not last <= t < 2**63:
-            if -(2**63) <= t < 2**63:
-                raise ParseError(lineno, f"out-of-order point: {t} after {last}")
-            raise ParseError(lineno, f"timestamp {t} outside the int64 range")
+        # Checked here by point_error, not in iter_rows, which `asap stream`
+        # reads: StreamState.ingest refuses the same rows in the same words,
+        # and a stream drops such a row with a warning and goes on.
+        if not (isfinite(v) and last <= t < 2**63):
+            raise ParseError(lineno, point_error(last, t, v))
         last = t
         timestamps.append(t)
         values.append(v)

@@ -72,8 +72,15 @@ def kurtosis(values) -> float:
 
 
 def zscore(series: Series) -> Series:
-    """Center at zero mean and rescale to unit population std."""
+    """Center at zero mean and rescale to unit population std.
+
+    Computed on x times the power of two that brings max |x| into [0.5, 1):
+    the z-scores are scale-free and the rescaling is exact, so an in-range
+    input gets the same bits, and a spread near 1e308 (whose squares
+    overflow) or near 1e-200 (whose squares underflow) gets finite, unit-std
+    z-scores all the same."""
     x = series.values
+    x = np.ldexp(x, -math.frexp(np.abs(x).max(initial=0.0))[1])
     sigma = population_std(x)
     if sigma == 0.0:
         raise ValueError("z-score undefined for constant series")

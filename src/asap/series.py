@@ -2,8 +2,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
+
+
+def point_error(last: int, t: int, v: float) -> str | None:
+    """Why the point (t, v) cannot follow a point stamped `last`, or None
+    when it can: its value must be finite and its stamp an int64 no smaller
+    than `last`. The one wording of these rejections: the line parser raises
+    it with a line number, and `StreamState.ingest` as it is.
+
+    Callers test `isfinite(v) and last <= t < 2**63` inline and call this
+    only on a row that fails: a call per row would show in their per-row
+    cost."""
+    if not isfinite(v):
+        return f"non-finite value {v!r}"
+    if not -(2**63) <= t < 2**63:
+        return f"timestamp {t} outside the int64 range"
+    if t < last:
+        return f"out-of-order point: {t} after {last}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import isfinite
 import numpy as np
 
 from .search import MIN_POINTS, SmoothResult, find_window, window_cap
-from .series import Series
+from .series import Series, point_error
 
 # Not called here: the benchmark's tracer wraps these names on this module,
 # and check_last_window, whose SearchState result it reads .window from.
@@ -68,19 +68,18 @@ class StreamState:
     def ingest(self, t: int, v: float) -> None:
         """Add one point; seals the open pane when it reaches pane_span points.
 
-        Raises ValueError on a non-finite value, one that would overflow the
-        open pane's sum, a timestamp outside int64 or an out-of-order one
-        (equal timestamps pass); a rejected point leaves the state unchanged.
+        Raises ValueError on a finite value that would overflow the open
+        pane's sum, and otherwise with `point_error`'s text, the line
+        parser's, on a NaN or infinite value, a timestamp outside int64 or
+        an out-of-order one (equal timestamps pass); a rejected point leaves
+        the state unchanged.
         """
         total = self._open_sum + v
-        if not isfinite(total):
-            if isfinite(v):
+        # A finite total implies a finite v: one test covers both.
+        if not (isfinite(total) and self._last_ts <= t < 2**63):
+            if isfinite(v) and not isfinite(total):
                 raise ValueError(f"pane sum overflows at value {v!r}")
-            raise ValueError(f"non-finite value {v!r}")
-        if not self._last_ts <= t < 2**63:
-            if -(2**63) <= t < 2**63:
-                raise ValueError(f"out-of-order point: {t} after {self._last_ts}")
-            raise ValueError(f"timestamp {t} outside the int64 range")
+            raise ValueError(point_error(self._last_ts, t, v))
         self._last_ts = t
         if self._open_count == 0:
             self._open_start = t

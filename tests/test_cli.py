@@ -14,7 +14,7 @@ import asap
 from asap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from asap.generators import noisy_sine
 from asap.io import read_series, write_series
-from asap.metrics import kurtosis
+from asap.metrics import kurtosis, population_std, zscore
 
 
 @pytest.fixture(scope="module")
@@ -153,15 +153,22 @@ def test_smooth_bad_row_is_input_error(tmp_path, capsys):
 
 
 
+# `asap smooth` and `asap stream --strict` refuse the same rows with the
+# same stderr, byte for byte.
+@pytest.mark.parametrize("command", [
+    ["smooth"],
+    ["stream", "--strict", "--ratio", "1", "--refresh", "1"],
+], ids=["smooth", "stream"])
 @pytest.mark.parametrize("row,message", [
+    ("3,oops", "line 3: cannot parse row '3,oops': could not convert string to float: 'oops'"),
     ("99999999999999999999999,4", "line 3: timestamp 99999999999999999999999 outside the int64 range"),
     ("3,nan", "line 3: non-finite value nan"),
     ("1,1.0", "line 3: out-of-order point: 1 after 2"),
 ])
-def test_smooth_out_of_range_row_is_input_error(tmp_path, capsys, row, message):
+def test_smooth_and_strict_stream_refuse_a_bad_row_alike(tmp_path, capsys, command, row, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"1,1.0\n2,2.0\n{row}\n4,4.0\n5,1.0\n")
-    code, out, err = run_cli(["smooth", "--input", str(bad)], capsys)
+    code, out, err = run_cli([*command, "--input", str(bad)], capsys)
     assert code == EXIT_INPUT
     assert err == f"error: {message}\n"
     assert out == ""
@@ -216,6 +223,22 @@ def test_smooth_tiny_spread_is_not_an_error(tmp_path, capsys):
     meta = read_meta(meta_path)
     assert meta["kurtosis_before"] == pytest.approx(kurtosis([0.0, 1.0, 2.0] * 13 + [0.0]), rel=1e-12)
     assert len(read_series(io.StringIO(out))) == 40 - meta["window"] + 1
+
+
+@pytest.mark.parametrize("command", ["smooth", "plot"])
+def test_zscore_keeps_a_spread_whose_squares_overflow(tmp_path, capsys, command):
+    # Squared deviations of 1e308 overflow; z-scored, the series is not flat.
+    path = tmp_path / "huge.csv"
+    path.write_text("1,1\n2,2\n3,1e308\n4,-1e308\n5,1e308\n6,-1e308\n7,1\n8,2\n")
+    assert population_std(zscore(read_series(str(path))).values) == pytest.approx(1.0, abs=1e-12)
+    meta_path = tmp_path / "meta.json"
+    extra = ["--zscore", "--meta", str(meta_path)] if command == "smooth" else ["--out", str(tmp_path / "z.svg")]
+    code, _, err = run_cli([command, "--input", str(path), *extra], capsys)
+    assert code == EXIT_OK
+    assert err == ""  # no RuntimeWarning either: this suite raises them
+    if command == "smooth":
+        assert read_meta(meta_path)["roughness"] > 0
+
 
 def test_smooth_too_few_rows_is_input_error(tmp_path, capsys):
     tiny = tmp_path / "tiny.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asap.generators import noisy_sine
 from asap.metrics import first_differences, kurtosis, population_std, roughness, zscore
 from asap.series import Series
 
@@ -170,6 +171,33 @@ def test_zscore_normalizes_moments():
 def test_zscore_rejects_constant():
     with pytest.raises(ValueError):
         zscore(Series.from_values(np.full(8, 2.5)))
+
+
+# Values whose every power-of-two rescaling below stays a normal float.
+NORMAL_VALUES = st.lists(
+    st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) > 1e-30), min_size=2, max_size=60
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(values=NORMAL_VALUES, k=st.integers(-900, 900))
+def test_zscore_is_exact_under_power_of_two_rescaling(values, k):
+    x = np.asarray(values)
+    if (x == x[0]).all():
+        return
+    z = zscore(Series.from_values(x)).values
+    assert zscore(Series.from_values(np.ldexp(x, k))).values.tobytes() == z.tobytes()
+    # The plain formula's bits wherever it neither overflows nor underflows.
+    assert z.tobytes() == ((x - x.mean()) / population_std_np(x)).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+def test_zscore_of_an_extreme_spread_has_unit_std(scale):
+    s = noisy_sine(2000, period=50, seed=3)
+    z = zscore(Series(s.timestamps, s.values * scale)).values
+    assert np.isfinite(z).all()
+    assert population_std(z) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(z, zscore(s).values, rtol=1e-12, atol=1e-12)
 
 
 def test_series_validation():

@@ -8,11 +8,12 @@ from hypothesis import strategies
 
 from _oracles import assert_result_measures_its_smoothing
 from asap.generators import GENERATORS, noisy_sine
+from asap.io import ParseError, _parse_lines
 from asap.metrics import kurtosis, roughness
 from asap.preagg import preaggregate
 from asap.search import SmoothResult, find_window
 from asap.smoothing import sma
-from asap.series import Series
+from asap.series import Series, point_error
 from asap.stream import StreamState
 
 
@@ -99,6 +100,76 @@ def test_ingest_rejects_timestamps_outside_int64():
     st.ingest(-(2**63), 1.0)
     st.ingest(2**63 - 1, 2.0)
     assert st.aggregated().timestamps.tolist() == [-(2**63), 2**63 - 1]
+
+
+INT64_MIN, INT64_END = -(2**63), 2**63
+
+
+def _refusal(last, t, v):
+    """The rule for a valid point and its wording, written out apart from
+    asap.series: the value, then the int64 range, then the order."""
+    if not math.isfinite(v):
+        return f"non-finite value {v!r}"
+    if not INT64_MIN <= t < INT64_END:
+        return f"timestamp {t} outside the int64 range"
+    if t < last:
+        return f"out-of-order point: {t} after {last}"
+    return None
+
+
+VALUES = strategies.one_of(
+    strategies.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]), strategies.floats(-1e3, 1e3)
+)
+# Beside either int64 bound, around zero, or anywhere.
+STAMPS = strategies.one_of(
+    strategies.integers(INT64_MIN - 3, INT64_MIN + 3),
+    strategies.integers(-3, 3),
+    strategies.integers(INT64_END - 3, INT64_END + 3),
+    strategies.integers(),
+)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(last=STAMPS.filter(lambda t: INT64_MIN <= t < INT64_END), t=STAMPS, v=VALUES)
+def test_point_error_is_none_exactly_when_the_inline_guard_passes(last, t, v):
+    # The guard _parse_lines and ingest test before they call point_error.
+    assert (point_error(last, t, v) is None) == (math.isfinite(v) and last <= t < 2**63)
+    assert point_error(last, t, v) == _refusal(last, t, v)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    # Stamps from a start at or beside either int64 bound, or at zero, by
+    # steps that cross both bounds, repeat and go backwards.
+    start=strategies.sampled_from([INT64_MIN - 1, INT64_MIN, 0, INT64_END - 3, INT64_END]),
+    steps=strategies.lists(strategies.tuples(strategies.integers(-2, 3), VALUES), min_size=1, max_size=12),
+)
+def test_the_line_parser_refuses_the_row_ingest_refuses_first(start, steps):
+    rows, t = [], start
+    for step, v in steps:
+        t += step
+        rows.append((t, v))
+    # One point per pane: a pane sum is one value and cannot overflow.
+    state = StreamState(pane_span=1, capacity=10, refresh_interval=10**9)
+    refused, last = None, INT64_MIN
+    for lineno, (t, v) in enumerate(rows, 1):
+        try:
+            state.ingest(t, v)
+        except ValueError as exc:
+            assert str(exc) == _refusal(last, t, v)
+            refused = f"line {lineno}: {exc}"
+            break
+        assert _refusal(last, t, v) is None
+        last = t
+    lines = [f"{t},{v!r}\n" for t, v in rows]
+    if refused is None:
+        series = _parse_lines(lines)
+        assert series.timestamps.tolist() == [t for t, _ in rows]
+        assert series.values.tolist() == [v for _, v in rows]
+    else:
+        with pytest.raises(ParseError) as exc:
+            _parse_lines(lines)
+        assert str(exc.value) == refused
 
 
 def _ring_feed(pane_span, capacity, laps, extra, seed):
