@@ -2,15 +2,16 @@
 
 The goal: the window w that minimizes roughness of the smoothed series
 subject to kurtosis(smoothed) >= kurtosis(input), so outliers and regime
-shifts survive smoothing. Every strategy evaluates candidate windows the
-same way (_try_window) inside the same frame (_run); they differ only in
-which windows they visit. An evaluation measures kurtosis first and
-roughness only when the window is feasible, and the result reuses the
-winner's evaluation instead of smoothing it again. find_window gets there
-cheaply by walking a caller's prior window, then autocorrelation peak lags
-from largest to smallest, with two pruning rules, then binary-searching the
-remaining gap; exhaustive_search is the slow reference that scans every
-window and is used as the oracle in tests.
+shifts survive smoothing. Every strategy runs in the same frame (_run),
+which builds one SearchState per search, and evaluates candidate windows
+through it (SearchState.try_window); they differ only in which windows they
+visit. An evaluation measures kurtosis first and roughness only when the
+window is feasible, and the result reuses the winner's evaluation instead
+of smoothing it again. find_window gets there cheaply by walking a caller's
+prior window, then autocorrelation peak lags from largest to smallest, with
+two pruning rules, then binary-searching the remaining gap;
+exhaustive_search is the slow reference that scans every window and is used
+as the oracle in tests.
 
 Pruning rules, both derived from the closed-form roughness estimate for a
 window w over an N-point series with std sigma:
@@ -27,6 +28,7 @@ window w over an N-point series with std sigma:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +47,15 @@ def window_cap(n: int, max_window: int | None = None) -> int:
     (default n // 10), kept within [1, n - 1].
 
     max_window counts points of the series being searched, i.e. preaggregated
-    points when preaggregation ran upstream; below 1 it is a ValueError.
+    points when preaggregation ran upstream; below 1 it is a ValueError, and
+    anything but an integer (numpy's included) a TypeError.
     """
     if max_window is None:
         max_window = n // 10
-    elif max_window < 1:
-        raise ValueError(f"max_window must be >= 1, got {max_window}")
+    else:
+        max_window = operator.index(max_window)
+        if max_window < 1:
+            raise ValueError(f"max_window must be >= 1, got {max_window}")
     return max(1, min(max_window, n - 1))
 
 
@@ -63,11 +68,12 @@ def acf_horizon(n: int, max_window: int | None = None) -> int:
 
 @dataclass
 class SearchState:
-    """Mutable progress of one search, internal to it: best window and pruning bounds.
+    """One search, internal to it: its inputs (target, the series' kurtosis,
+    and prefix, its values' _prefix_sums), best window and pruning bound.
 
     Once the search keeps a window, roughness, kurtosis and smoothed hold its
-    evaluation (smoothed is None before). kurtosis and smoothed follow from
-    the window, so they take no part in comparisons.
+    evaluation (smoothed is None before). They follow from the window and
+    the inputs, so only the window and its progress take part in comparisons.
     """
 
     window: int = 1
@@ -76,6 +82,30 @@ class SearchState:
     evaluations: int = 0
     kurtosis: float = field(default=math.nan, compare=False)
     smoothed: np.ndarray | None = field(default=None, compare=False)
+    target: float = field(default=math.nan, compare=False)
+    prefix: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def try_window(self, w: int) -> tuple[bool, bool]:
+        """Evaluate window w and return (feasible, kept).
+
+        Feasible: the smoothed kurtosis is at least target. Kept: feasible
+        and smoother than the best so far, which w then becomes, with its
+        measurements. A window that smooths the series flat has NaN kurtosis,
+        so it is neither. Roughness is measured only for a feasible window;
+        the kept window is not measured, nor counted as evaluated, again.
+        """
+        if w == self.window and self.smoothed is not None:
+            return True, False
+        y = _sma_from_prefix(self.prefix, w)
+        self.evaluations += 1
+        k = kurtosis(y)
+        if not k >= self.target:
+            return False, False
+        r = roughness(y)
+        if not r < self.roughness:
+            return True, False
+        self.window, self.roughness, self.kurtosis, self.smoothed = w, r, k, y
+        return True, True
 
 
 @dataclass(frozen=True)
@@ -114,36 +144,10 @@ def is_rougher_estimate(w: int, acf_w: float, best_w: int, acf_best: float) -> b
     return math.sqrt(max(0.0, 1.0 - acf_w)) / w > math.sqrt(max(0.0, 1.0 - acf_best)) / best_w
 
 
-def _try_window(prefix: np.ndarray, w: int, state: SearchState, target: float) -> tuple[bool, bool]:
-    """Evaluate window w and return (feasible, kept).
-
-    Feasible: the smoothed kurtosis is at least target. Kept: feasible and
-    smoother than the state's best, which w then becomes, together with its
-    measurements. A window that smooths the series flat has NaN kurtosis, so
-    it is neither. Roughness is measured only for a feasible window, and the
-    window the state already keeps is not measured again.
-    """
-    if w == state.window and state.smoothed is not None:
-        return True, False
-    y = _sma_from_prefix(prefix, w)
-    state.evaluations += 1
-    k = kurtosis(y)
-    if not k >= target:
-        return False, False
-    r = roughness(y)
-    if not r < state.roughness:
-        return True, False
-    state.window, state.roughness, state.kurtosis, state.smoothed = w, r, k, y
-    return True, True
-
-
-def search_periodic(
-    prefix: np.ndarray, profile: AcfProfile, state: SearchState, target_kurtosis: float,
-    first: tuple[int, ...] = (),
-) -> SearchState:
+def search_periodic(state: SearchState, profile: AcfProfile, first: tuple[int, ...] = ()) -> None:
     """Walk the windows in `first`, then ACF peak lags from largest to
-    smallest, over the series whose _prefix_sums are `prefix`, pruning as we
-    go; each kept window raises the lower bound the walk stops at."""
+    smallest, pruning as we go; each kept window raises the lower bound the
+    walk stops at."""
     corr = profile.correlations
     for w in (*first, *reversed(profile.peaks)):
         if w < state.lower_bound:
@@ -153,35 +157,30 @@ def search_periodic(
             w, float(corr[w]), best, float(corr[best])
         ):
             continue  # estimated rougher than the best feasible window so far
-        if _try_window(prefix, w, state, target_kurtosis)[1]:
+        if state.try_window(w)[1]:
             state.lower_bound = update_lower_bound(
                 state.lower_bound, w, float(corr[w]), profile.max_acf
             )
-    return state
 
 
-def binary_search(
-    prefix: np.ndarray, head: int, tail: int, state: SearchState, target_kurtosis: float
-) -> SearchState:
-    """Probe [head, tail] over the series whose _prefix_sums are `prefix`,
-    assuming kurtosis falls and roughness shrinks as the window grows: an
-    infeasible window discards the upper half, a feasible one (kept when it
-    improves on the state) the lower half. Callers pass 1 <= head and
-    tail <= n - 1 on an n-point series."""
+def binary_search(state: SearchState, head: int, tail: int) -> None:
+    """Probe [head, tail], assuming kurtosis falls and roughness shrinks as
+    the window grows: an infeasible window discards the upper half, a
+    feasible one (kept when it improves on the state) the lower half.
+    Callers pass 1 <= head and tail <= n - 1 on an n-point series."""
     while head <= tail:
         mid = (head + tail) // 2
-        if _try_window(prefix, mid, state, target_kurtosis)[0]:
+        if state.try_window(mid)[0]:
             head = mid + 1
         else:
             tail = mid - 1
-    return state
 
 
 def _run(series: Series, search) -> SmoothResult:
     """The frame every strategy shares: fewer than MIN_POINTS points is an
-    error, a constant series keeps window 1, and otherwise search(values,
-    prefix, target kurtosis) returns the final SearchState; prefix holds the
-    values' _prefix_sums, built once per search.
+    error, a constant series keeps window 1, and otherwise search(state)
+    visits windows through state.try_window; the state holds the target
+    kurtosis and the values' _prefix_sums, built once per search.
 
     The result's roughness and kurtosis are measured on the returned
     smoothed values: taken from the search's own evaluation of any window
@@ -191,11 +190,13 @@ def _run(series: Series, search) -> SmoothResult:
     x = series.values
     if x.size < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
-    target = kurtosis(x)
-    state = SearchState() if (x == x[0]).all() else search(x, _prefix_sums(x), target)
+    state = SearchState(target=kurtosis(x))
+    if not (x == x[0]).all():
+        state.prefix = _prefix_sums(x)
+        search(state)
     w = state.window
     if w == 1:
-        smoothed, r, k = series, roughness(x), target
+        smoothed, r, k = series, roughness(x), state.target
     else:
         # A kept window passed kurtosis(y) >= target, which a NaN or an
         # infinity in y fails, and its stamps are a prefix of valid ones.
@@ -220,32 +221,36 @@ def find_window(
     prior_window is a window likely to be good (the streaming path passes
     its previous one): the peak walk evaluates it first and counts it like
     any other candidate, keeps it only if it is feasible, and ignores it
-    unless 1 < prior_window <= cap.
+    unless 1 < prior_window <= cap. Both take integers only (a TypeError).
     """
     max_window = window_cap(len(series), max_window)
     # Checked once: from here on every window, prior or a peak, is at most
     # the cap, so it indexes the correlations and fits the series.
-    first = (prior_window,) if prior_window is not None and 1 < prior_window <= max_window else ()
+    prior = 0 if prior_window is None else operator.index(prior_window)
+    first = (prior,) if 1 < prior <= max_window else ()
 
-    def search(x, prefix, target):
-        acf = find_peaks(autocorrelation(x, acf_horizon(x.size, max_window)))
-        walk = search_periodic(prefix, acf, SearchState(), target, first)
+    def search(state):
+        acf = find_peaks(autocorrelation(series.values, acf_horizon(len(series), max_window)))
+        search_periodic(state, acf, first)
         if not acf.peaks:
-            return binary_search(prefix, 1, max_window, walk, target)
-        head = max(math.ceil(walk.lower_bound), walk.window + 1)
+            return binary_search(state, 1, max_window)
+        head = max(math.ceil(state.lower_bound), state.window + 1)
         # Peaks stop one lag short of the horizon, so none lies above the cap.
-        above = next((p for p in acf.peaks if p > walk.window), max_window)
-        return binary_search(prefix, head, above, walk, target)
+        above = next((p for p in acf.peaks if p > state.window), max_window)
+        binary_search(state, head, above)
 
     return _run(series, search)
 
 
-def _scan(series: Series, windows) -> SmoothResult:
-    def search(x, prefix, target):
-        state = SearchState()
+def grid_search(series: Series, step: int, max_window: int | None = None) -> SmoothResult:
+    """Evaluate windows 1, 1+step, 1+2*step, ... up to the cap."""
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    windows = range(1, window_cap(len(series), max_window) + 1, step)
+
+    def search(state):
         for w in windows:
-            _try_window(prefix, w, state, target)
-        return state
+            state.try_window(w)
 
     return _run(series, search)
 
@@ -255,17 +260,10 @@ def exhaustive_search(series: Series, max_window: int | None = None) -> SmoothRe
 
     The reference answer the pruned search is judged against.
     """
-    return _scan(series, range(1, window_cap(len(series), max_window) + 1))
-
-
-def grid_search(series: Series, step: int, max_window: int | None = None) -> SmoothResult:
-    """Exhaustive scan restricted to windows 1, 1+step, 1+2*step, ..."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    return _scan(series, range(1, window_cap(len(series), max_window) + 1, step))
+    return grid_search(series, 1, max_window)
 
 
 def binary_only_search(series: Series, max_window: int | None = None) -> SmoothResult:
     """Binary search over the whole window range, no ACF guidance."""
     cap = window_cap(len(series), max_window)
-    return _run(series, lambda x, prefix, target: binary_search(prefix, 1, cap, SearchState(), target))
+    return _run(series, lambda state: binary_search(state, 1, cap))

@@ -25,6 +25,23 @@ def point_error(last: int, t: int, v: float) -> str | None:
     return None
 
 
+def _exact_int64(raw: np.ndarray) -> np.ndarray:
+    """raw as int64, or a ValueError unless each stamp is an integer that
+    int64 holds: a plain cast would truncate 1.5 and wrap uint64 2**63."""
+    try:
+        with np.errstate(invalid="ignore"):
+            ts = raw.astype(np.int64)
+        # An int64 and a uint64 or float compare as floats, so a wrapped or
+        # truncated stamp differs from its source; a float cast may instead
+        # saturate at 2**63 - 1, which compares equal to 2.0**63.
+        exact = bool(np.all(ts == raw)) and not (raw.dtype.kind == "f" and (raw >= 2.0**63).any())
+    except (OverflowError, TypeError, ValueError):
+        exact = False
+    if not exact:
+        raise ValueError("timestamps must be integers within the int64 range")
+    return ts
+
+
 @dataclass(frozen=True)
 class Series:
     """Ordered samples: epoch-millisecond timestamps paired with finite values."""
@@ -33,7 +50,9 @@ class Series:
     values: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        ts = np.asarray(self.timestamps)
+        if ts.dtype != np.int64:
+            ts = _exact_int64(ts)
         vals = np.asarray(self.values, dtype=np.float64)
         if ts.ndim != 1 or vals.ndim != 1:
             raise ValueError("timestamps and values must be one-dimensional")

@@ -12,6 +12,7 @@ is still feasible, the estimate-based pruning engages immediately.
 """
 from __future__ import annotations
 
+import operator
 from math import isfinite
 
 import numpy as np
@@ -38,6 +39,9 @@ class StreamState:
         refresh_interval: int,
         max_window: int | None = None,
     ):
+        # Integers only (numpy's included), each >= 1: a float span would
+        # never seal a pane, and a float interval would round up.
+        pane_span, capacity, refresh_interval = map(operator.index, (pane_span, capacity, refresh_interval))
         if pane_span < 1:
             raise ValueError("pane_span must be >= 1")
         if capacity < 1:

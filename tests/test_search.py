@@ -91,8 +91,8 @@ def test_search_periodic_matches_unpruned_peak_scan():
         profile = _profile(x, 400)
         assert profile.peaks, "fixture must have visible periodicity"
 
-        state = SearchState()
-        search_periodic(_prefix_sums(x), profile, state, target_kurtosis=kurtosis(x))
+        state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+        search_periodic(state, profile)
 
         # Oracle: evaluate every peak with no pruning at all.
         target = kurtosis(x)
@@ -119,8 +119,8 @@ def test_search_periodic_rejects_kurtosis_violations():
     profile = _profile(x, 200)
     assert profile.peaks
 
-    state = SearchState()
-    search_periodic(_prefix_sums(x), profile, state, target_kurtosis=kurtosis(x))
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    search_periodic(state, profile)
     assert state.window == 1
     assert math.isinf(state.roughness)
 
@@ -128,22 +128,22 @@ def test_search_periodic_rejects_kurtosis_violations():
 def test_search_periodic_no_peaks_is_noop():
     x = np.random.default_rng(9).normal(size=500)
     profile = AcfProfile(autocorrelation(x, 50), (), 0.0)
-    state = SearchState()
-    search_periodic(_prefix_sums(x), profile, state, target_kurtosis=kurtosis(x))
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    search_periodic(state, profile)
     assert state.window == 1 and state.evaluations == 0
 
 
 def test_binary_search_empty_range_is_noop():
     x = np.random.default_rng(10).normal(size=100)
-    state = SearchState()
-    binary_search(_prefix_sums(x), 5, 4, state, target_kurtosis=kurtosis(x))
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    binary_search(state, 5, 4)
     assert state.window == 1 and state.evaluations == 0
 
 
 def test_binary_search_single_candidate():
     x = np.random.default_rng(10).uniform(size=400)
-    state = SearchState()
-    binary_search(_prefix_sums(x), 7, 7, state, target_kurtosis=kurtosis(x))
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    binary_search(state, 7, 7)
     assert state.evaluations == 1
     assert state.window in (1, 7)
 
@@ -152,8 +152,8 @@ def test_binary_search_walks_right_when_everything_is_feasible():
     # Uniform noise: every window raises kurtosis toward 3, and roughness
     # falls as 1/w, so the probe path ends at the cap and keeps it.
     x = np.random.default_rng(502).uniform(size=5000)
-    state = SearchState()
-    binary_search(_prefix_sums(x), 1, 500, state, target_kurtosis=kurtosis(x))
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    binary_search(state, 1, 500)
     assert state.window == 500
     assert state.roughness == pytest.approx(roughness(sma(x, 500)), rel=1e-12)
     assert state.evaluations <= math.ceil(math.log2(500)) + 2
@@ -162,8 +162,8 @@ def test_binary_search_walks_right_when_everything_is_feasible():
 def test_binary_search_collapses_when_nothing_is_feasible():
     # A lone spike in bounded noise: any smoothing lowers kurtosis.
     x = spike_in_noise(2000, seed=0).values
-    state = SearchState()
-    binary_search(_prefix_sums(x), 1, 200, state, target_kurtosis=kurtosis(x))
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    binary_search(state, 1, 200)
     # Every probe above 1 violates the constraint; the floor window remains.
     assert state.window == 1
     assert state.roughness == pytest.approx(roughness(x), rel=1e-12)
@@ -285,6 +285,47 @@ def test_a_scan_measures_roughness_only_for_feasible_windows(monkeypatch, shape,
     assert calls == {"roughness": feasible + (window == 1), "kurtosis": 81, "smooth_series": 0}
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=hs.sampled_from([*sorted(GENERATORS), "constant"]),
+    n=hs.integers(4, 300),
+    seed=hs.integers(0, 3),
+    cap=hs.none() | hs.integers(1, 40),
+    prior=hs.none() | hs.integers(-1, 45),
+    step=hs.integers(1, 4),
+)
+def test_candidates_evaluated_counts_the_windows_a_search_smooths(shape, n, seed, cap, prior, step):
+    # Every strategy counts a window exactly when it smooths the series for
+    # it, and measures the kurtosis of each such smoothing plus the input's
+    # (the target). A constant series smooths nothing, reports 1 and builds
+    # no prefix sums; only the target is measured.
+    s = Series.from_values(np.full(n, 2.5)) if shape == "constant" else GENERATORS[shape](n, seed)
+    searches = {
+        "find_window": lambda: find_window(s, max_window=cap, prior_window=prior),
+        "binary_only": lambda: binary_only_search(s, cap),
+        "grid": lambda: grid_search(s, step, cap),
+        "exhaustive": lambda: exhaustive_search(s, cap),
+    }
+    for label, search in searches.items():
+        calls = {"_prefix_sums": 0, "_sma_from_prefix": 0, "kurtosis": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                real = getattr(asap.search, name)
+
+                def counted(*args, name=name, real=real):
+                    calls[name] += 1
+                    return real(*args)
+
+                mp.setattr(asap.search, name, counted)
+            res = search()
+        if shape == "constant":
+            assert (res.candidates_evaluated, calls) == (1, {"_prefix_sums": 0, "_sma_from_prefix": 0, "kurtosis": 1}), label
+        else:
+            smoothed = calls["_sma_from_prefix"]
+            assert res.candidates_evaluated == smoothed, label
+            assert calls == {"_prefix_sums": 1, "_sma_from_prefix": smoothed, "kurtosis": smoothed + 1}, label
+
+
 def test_exhaustive_search_skips_a_window_that_smooths_flat():
     # Window 4 averages each period to 2.5, which has no kurtosis, so it is
     # infeasible like any window that lowers kurtosis.
@@ -328,6 +369,22 @@ def test_window_cap_defaults_and_clamps():
             find_window(uniform(100, seed=1), max_window=bad)
         with pytest.raises(ValueError):
             exhaustive_search(uniform(100, seed=1), max_window=bad)
+
+
+def test_a_cap_or_prior_window_that_is_not_an_integer_fails_at_entry():
+    s = uniform(100, seed=1)
+    for bad in (7.5, 3.0, "5"):
+        with pytest.raises(TypeError):
+            window_cap(100, bad)
+        with pytest.raises(TypeError):
+            find_window(s, max_window=bad)
+        with pytest.raises(TypeError):
+            find_window(s, prior_window=bad)
+    # numpy integers index like Python ints, and the cap comes back as one.
+    assert type(window_cap(100, np.int64(7))) is int
+    want = find_window(s, max_window=7, prior_window=3)
+    got = find_window(s, max_window=np.int32(7), prior_window=np.int64(3))
+    assert (got.window, got.candidates_evaluated) == (want.window, want.candidates_evaluated)
 
 
 def test_acf_horizon_is_one_lag_past_the_cap():

@@ -1,6 +1,7 @@
 """The two places that build a Series without its checks (a search result's
 smoothed series, a stream's pane means), whose arrays must pass them anyway;
-and preaggregate, whose group sums can overflow, which keeps them."""
+preaggregate, whose group sums can overflow, which keeps them; and the
+checked constructor's refusal of a stamp that int64 does not hold."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,3 +87,45 @@ def test_preaggregate_still_refuses_a_group_sum_that_overflows():
     series = Series.from_values([1e308, 1e308, 1.0, 2.0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
         preaggregate(series, 2)
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        [1.5, 2.7, 3.9],
+        [1.0, 2.0, float("nan")],
+        [0.0, 1.0, 2.0**63],
+        np.array([2**63, 2**63 + 5], dtype=np.uint64),
+        [0, 1, 2**63],
+        [-(2**63) - 1, 0, 1],
+        [0, 1, 2**70],
+        [None, 1, 2],
+    ],
+)
+def test_a_stamp_int64_does_not_hold_is_refused(stamps):
+    # A cast would truncate the first, wrap the uint64 ones to -2**63 and
+    # raise OverflowError on a Python int past int64.
+    with pytest.raises(ValueError, match="int64"):
+        Series(stamps, np.zeros(len(stamps)))
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        [],
+        [1.0, 2.0, 3.0],
+        [-(2.0**63), 0.0, 2.0**62],
+        np.array([1, 2, 2**63 - 1], dtype=np.uint64),
+        np.array([-5, 0, 7], dtype=np.int32),
+        [-(2**63), 0, 2**63 - 1],
+    ],
+)
+def test_an_exact_stamp_of_any_type_is_kept(stamps):
+    series = Series(stamps, np.zeros(len(stamps)))
+    assert series.timestamps.dtype == np.int64
+    assert series.timestamps.tolist() == [int(t) for t in stamps]
+
+
+def test_int64_stamps_are_taken_as_they_are():
+    stamps = np.arange(5, dtype=np.int64)
+    assert Series(stamps, np.zeros(5)).timestamps is stamps

@@ -247,6 +247,26 @@ def test_constructor_validation():
         StreamState(pane_span=1, capacity=10, refresh_interval=1, max_window=0)
 
 
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [((2.5, 400, 5), {}), ((1, 400.0, 5), {}), ((1, 400, 2.5), {}), ((1, 400, 5), {"max_window": 7.5})],
+)
+def test_constructor_refuses_a_parameter_that_is_not_an_integer(args, kwargs):
+    # A span of 2.5 never seals a pane, an interval of 2.5 refreshes every 3
+    # panes and a cap of 7.5 used to fail only at the first refresh.
+    with pytest.raises(TypeError):
+        StreamState(*args, **kwargs)
+
+
+def test_numpy_integer_parameters_act_as_python_ints():
+    s = noisy_sine(3000, period=60, noise=0.3, seed=4)
+    plain = _replay(StreamState(3, 200, 4, max_window=9), s)
+    numpy = _replay(StreamState(np.int64(3), np.int32(200), np.uint8(4), max_window=np.int64(9)), s)
+    assert plain and [(r.window, r.candidates_evaluated) for r in numpy] == [
+        (r.window, r.candidates_evaluated) for r in plain
+    ]
+
+
 def test_no_refresh_before_four_panes():
     st = StreamState(pane_span=1, capacity=10, refresh_interval=1)
     vals = [0.0, 1.0, 0.5, 1.5, 0.25]
