@@ -6,14 +6,20 @@ timestamp; sealed panes live in a ring buffer of two preallocated arrays
 (sums and start timestamps) holding the newest `capacity` panes, so memory
 stays O(capacity) no matter how long the stream runs, and the pane means are
 one slice-and-divide away at refresh time.
-Every refresh_interval sealed panes the pane means are searched again with
-the previous window as find_window's prior_window, evaluated first: when it
-is still feasible, the estimate-based pruning engages immediately.
+One number, next_search, is the refresh clock: the sealed-pane count at
+which maybe_refresh next searches. The first search waits for
+max(refresh_interval, MIN_POINTS) panes, the floor of a search (a ring of
+fewer than MIN_POINTS panes is never searched), and each later one for
+refresh_interval more. A search runs on the pane means with the previous
+window as find_window's prior_window, evaluated first: when it is still
+feasible, the estimate-based pruning engages immediately. A flat ring (every
+pane mean equal) has nothing to search, so the search waits, and the ring is
+looked at again when the next pane seals, since only a seal changes a mean.
 """
 from __future__ import annotations
 
 import operator
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -61,7 +67,8 @@ class StreamState:
         self.sums = np.zeros(2 * capacity, dtype=np.float64)
         self.starts = np.zeros(2 * capacity, dtype=np.int64)
         self.sealed = 0
-        self.panes_since_refresh = 0
+        # The refresh clock: maybe_refresh searches once sealed reaches it.
+        self.next_search = max(refresh_interval, MIN_POINTS) if capacity >= MIN_POINTS else inf
         self.last_result: SmoothResult | None = None
         # The open pane: sum accumulates 0.0 + v1 + v2 ... in arrival order.
         self._open_sum = 0.0
@@ -94,7 +101,6 @@ class StreamState:
             self.sums[slot] = self.sums[slot + self.capacity] = self._open_sum
             self.starts[slot] = self.starts[slot + self.capacity] = self._open_start
             self.sealed += 1
-            self.panes_since_refresh += 1
             self._open_sum = 0.0
             self._open_count = 0
 
@@ -114,21 +120,22 @@ class StreamState:
         return SearchState(window=1 if self.last_result is None else self.last_result.window)
 
     def maybe_refresh(self) -> SmoothResult | None:
-        """Re-run the window search when enough new panes have been sealed.
+        """Re-run the window search once `sealed` reaches `next_search`.
 
-        Returns None while warming up (< MIN_POINTS panes), between
-        refreshes, or when the pane means are constant and there is nothing
-        to search yet.
+        The first search waits for max(refresh_interval, MIN_POINTS) sealed
+        panes, and a ring of fewer than MIN_POINTS panes is never searched;
+        each later search waits for refresh_interval more panes. Returns None
+        before then, and when the pane means are all equal: that flat ring is
+        looked at again when the next pane seals.
         """
-        if self.panes_since_refresh < self.refresh_interval:
-            return None
-        if min(self.sealed, self.capacity) < MIN_POINTS:
+        if self.sealed < self.next_search:
             return None
         aggregated = self.aggregated()
         x = aggregated.values
         if (x == x[0]).all():
+            self.next_search = self.sealed + 1
             return None
-        self.panes_since_refresh = 0
+        self.next_search = self.sealed + self.refresh_interval
         prior = self.check_last_window().window
         result = find_window(aggregated, max_window=self.max_window, prior_window=prior)
         self.last_result = result

@@ -303,6 +303,104 @@ def test_constant_window_defers_refresh_without_losing_credit():
     assert st.maybe_refresh() is not None
 
 
+class _ReferenceClock:
+    """The refresh rule written out apart from StreamState: a count of panes
+    sealed since the last search, a floor of MIN_POINTS (4) panes in the
+    ring, and a flat ring that defers the search but keeps its count."""
+
+    def __init__(self, pane_span, capacity, refresh_interval):
+        self.pane_span, self.capacity, self.refresh_interval = pane_span, capacity, refresh_interval
+        self.means, self.since_search, self.total, self.count = [], 0, 0.0, 0
+
+    def ingest(self, v):
+        self.total += v
+        self.count += 1
+        if self.count == self.pane_span:
+            self.means.append(self.total / self.pane_span)
+            self.since_search += 1
+            self.total, self.count = 0.0, 0
+
+    def searches(self):
+        ring = self.means[-self.capacity :]
+        if self.since_search < self.refresh_interval or len(ring) < 4 or len(set(ring)) == 1:
+            return False
+        self.since_search = 0
+        return True
+
+
+@strategies.composite
+def _flat_stretches(draw, pane_span, capacity):
+    """Values with flat stretches: all flat, flat then varying, or varying
+    then flat for more than `capacity` panes, then a little varying again."""
+
+    def length():
+        return draw(strategies.integers(0, (2 * capacity + 3) * pane_span))
+
+    def varying(n):
+        return [v / 4 for v in draw(strategies.lists(strategies.integers(-8, 8), min_size=n, max_size=n))]
+
+    flat = [draw(strategies.sampled_from([0.0, 1.5, -2.0]))]
+    shape = draw(strategies.sampled_from(["flat", "flat-then-varying", "varying-then-flat"]))
+    if shape == "flat":
+        return flat * length()
+    if shape == "flat-then-varying":
+        return flat * length() + varying(length())
+    # (capacity + 1) panes of points fill the ring with flat panes wherever
+    # the stretch starts within a pane.
+    return varying(length()) + flat * ((capacity + 1) * pane_span + length()) + varying(length() // 4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    pane_span=strategies.integers(1, 4),
+    capacity=strategies.integers(1, 12),
+    refresh_interval=strategies.integers(1, 6),
+    max_window=strategies.none() | strategies.integers(1, 5),
+    poll_every=strategies.integers(1, 3),
+    data=strategies.data(),
+)
+def test_refreshes_land_where_the_reference_clock_puts_them(
+    pane_span, capacity, refresh_interval, max_window, poll_every, data
+):
+    points = data.draw(_flat_stretches(pane_span, capacity))
+    st = StreamState(pane_span, capacity, refresh_interval, max_window=max_window)
+    ref = _ReferenceClock(pane_span, capacity, refresh_interval)
+    got, want = [], []
+    for i, v in enumerate(points):
+        st.ingest(i, v)
+        ref.ingest(v)
+        if i % poll_every == 0:  # a caller may poll less often than it ingests
+            if st.maybe_refresh() is not None:
+                got.append(i)
+            if ref.searches():
+                want.append(i)
+    assert got == want
+
+
+def test_a_flat_ring_is_looked_at_once_per_sealed_pane(monkeypatch):
+    looked_at = []
+    aggregated = StreamState.aggregated
+
+    def counting(self):
+        looked_at.append(self.sealed)
+        return aggregated(self)
+
+    monkeypatch.setattr(StreamState, "aggregated", counting)
+    st = StreamState(pane_span=5, capacity=8, refresh_interval=3)
+    for i in range(100):  # 20 flat panes, polled after every point
+        st.ingest(i, 2.5)
+        assert st.maybe_refresh() is None
+    assert len(looked_at) <= st.sealed
+    assert len(set(looked_at)) == len(looked_at)
+
+    # The open pane varies, but the ring does not until that pane seals.
+    for i in range(100, 104):
+        st.ingest(i, 7.0)
+        assert st.maybe_refresh() is None
+    st.ingest(104, 7.0)
+    assert st.maybe_refresh() is not None
+
+
 def test_refresh_result_matches_batch_search():
     raw = noisy_sine(6000, period=200, noise=0.35, seed=10)
     ratio = 5
