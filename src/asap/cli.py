@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import Iterable
 
 from .generators import GENERATORS
@@ -98,23 +99,22 @@ def cmd_smooth(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    if args.stdin:
-        if hasattr(sys.stdin, "reconfigure"):  # an io.StringIO is text already
-            sys.stdin.reconfigure(**DECODING)
-        return _replay(iter_rows(sys.stdin), args.ratio or 1, args)
-    with open(args.input, **DECODING) as fh:
-        if args.ratio is not None:
-            return _replay(iter_rows(fh), args.ratio, args)
-        # Two passes, so memory stays O(capacity): count the rows, then stream them.
-        if not fh.seekable():
-            print(
-                f"error: cannot count the rows of {args.input}, which is not seekable (a pipe?); "
-                "give --ratio, or feed it to --stdin, where --ratio defaults to 1",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        ratio = max(1, count_rows(fh) // args.resolution)
-        fh.seek(0)
+    with nullcontext(sys.stdin) if args.stdin else open(args.input, **DECODING) as fh:
+        if args.stdin and hasattr(fh, "reconfigure"):  # an io.StringIO is text already
+            fh.reconfigure(**DECODING)
+        ratio = args.ratio or 1  # --stdin's default
+        if args.ratio is None and not args.stdin:
+            # Two passes, so memory stays O(capacity): count the rows, then stream them.
+            if not fh.seekable():
+                print(
+                    f"error: cannot count the rows of {args.input}, which is not seekable (a pipe?); "
+                    "give --ratio, or feed it to --stdin, where --ratio defaults to 1",
+                    file=sys.stderr,
+                )
+                return EXIT_CONFIG
+            # smooth's pixel grid; a file with no rows gets ratio 1 and replays nothing.
+            ratio = point_to_pixel_ratio(max(1, count_rows(fh)), args.resolution)
+            fh.seek(0)
         return _replay(iter_rows(fh), ratio, args)
 
 

@@ -315,9 +315,10 @@ def _iso_series(table: np.ndarray) -> Series:
     return Series(ms, table["v"])
 
 
-def read_series(source: str | TextIO) -> Series:
-    """Parse a whole CSV file (path or open text stream) into a Series."""
-    path = source if isinstance(source, str) else None
+def read_series(source: str | os.PathLike | TextIO) -> Series:
+    """Parse a whole CSV file (path, `pathlib.Path` or other path-like, or
+    open text stream) into a Series."""
+    path = os.fsdecode(source) if isinstance(source, (str, os.PathLike)) else None
     with open(path, **DECODING) if path is not None else nullcontext(source) as fh:
         # A pipe or FIFO is read once, by the line parser.
         if fh.seekable():

@@ -9,11 +9,16 @@ raw-point units.
 """
 from __future__ import annotations
 
+import operator
+
 from .series import Series
 from .smoothing import _prefix_sums
 
 
 def point_to_pixel_ratio(raw_len: int, resolution: int) -> int:
+    """max(1, raw_len // resolution): the points one pixel (or stream pane)
+    holds. Both take integers only (a TypeError), numpy's included."""
+    raw_len, resolution = operator.index(raw_len), operator.index(resolution)
     if raw_len < 1:
         raise ValueError("raw_len must be >= 1")
     if resolution < 1:
@@ -26,7 +31,9 @@ def preaggregate(series: Series, ratio: int) -> Series:
 
     Each group is its prefix-sum difference over ratio, the same arithmetic
     as sma at that window, so a group equals sma's value at its start.
+    ratio takes integers only (a TypeError), numpy's included.
     """
+    ratio = operator.index(ratio)
     if ratio == 1:
         return series
     n = len(series)

@@ -243,7 +243,9 @@ def find_window(
 
 
 def grid_search(series: Series, step: int, max_window: int | None = None) -> SmoothResult:
-    """Evaluate windows 1, 1+step, 1+2*step, ... up to the cap."""
+    """Evaluate windows 1, 1+step, 1+2*step, ... up to the cap. step takes
+    integers only (a TypeError), numpy's included."""
+    step = operator.index(step)
     if step < 1:
         raise ValueError("step must be >= 1")
     windows = range(1, window_cap(len(series), max_window) + 1, step)

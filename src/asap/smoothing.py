@@ -7,6 +7,8 @@ covers).
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .series import Series
@@ -27,7 +29,9 @@ def _sma_from_prefix(prefix: np.ndarray, window: int) -> np.ndarray:
 
 
 def sma(values, window: int) -> np.ndarray:
-    """Moving-average values only; see smooth_series for the timestamped form."""
+    """Moving-average values only; see smooth_series for the timestamped form.
+    window takes integers only (a TypeError), numpy's included."""
+    window = operator.index(window)
     x = np.asarray(values, dtype=np.float64)
     if window < 1 or window > x.size:
         raise ValueError(f"window must be in [1, {x.size}], got {window}")
@@ -35,6 +39,7 @@ def sma(values, window: int) -> np.ndarray:
 
 
 def smooth_series(series: Series, window: int) -> Series:
-    """Apply sma to a Series, keeping left-aligned output timestamps."""
+    """Apply sma to a Series, keeping left-aligned output timestamps; sma,
+    called first, checks window."""
     vals = sma(series.values, window)
     return Series(series.timestamps[: vals.size], vals)

@@ -1,4 +1,5 @@
 """CLI behavior: subcommands, exit codes, determinism, output formats."""
+import contextlib
 import io
 import json
 import os
@@ -6,9 +7,12 @@ import subprocess
 import sys
 import threading
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asap
 from asap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
@@ -385,6 +389,16 @@ def test_stream_empty_stdin(monkeypatch, capsys):
     assert "0 points" in err
 
 
+@pytest.mark.parametrize("text", ["", "timestamp,value\n", "\n\n"])
+def test_stream_file_with_no_rows_replays_nothing(tmp_path, capsys, text):
+    # No --ratio: the pane ratio comes from a row count of 0.
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    code, out, err = run_cli(["stream", "--input", str(path), "--refresh", "1"], capsys)
+    assert (code, out) == (EXIT_OK, "")
+    assert err.startswith("throughput: ") and err.endswith(" (0 points, 0 refreshes)\n")
+
+
 
 @pytest.mark.parametrize("header", ["", "timestamp,value\n"])
 def test_stream_input_ignores_a_byte_order_mark(tmp_path, capsys, header):
@@ -592,3 +606,72 @@ def test_plot_constant_input_still_renders(tmp_path, capsys):
     code, _, _ = run_cli(["plot", "--input", str(path), "--out", str(out_path)], capsys)
     assert code == EXIT_OK
     assert out_path.exists()
+
+
+# Values users send: huge, subnormal, offset by 1e9 (tiny spread on a large
+# mean), ordinary; constant runs come from repeating one.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e-320, -1e-320, 1e9]),
+    st.floats(-1e3, 1e3).map(lambda v: 1e9 + v),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Rows that are not points: corrupt, non-finite, and bytes that are not UTF-8.
+FUZZ_BAD_ROWS = ["abc,1", "1,2,3", "2021-01-01T00:00:00Z", "1,", ",1", "1,nan", "1,-inf", "1,1e999",
+                 "nan", "inf", "\x00", "\x1c1,2"]
+
+
+@st.composite
+def cli_csv_files(draw):
+    """CSV bytes: a header or none, int-ms, ISO or single-column rows with
+    duplicate stamps and constant runs, and corrupt, late and non-finite
+    rows mixed in."""
+    shape = draw(st.sampled_from(["ms", "iso", "single"]))
+    lines = [draw(st.sampled_from([b"", b"timestamp,value\n", b"value\n"]))]
+    t = draw(st.sampled_from([0, 1_609_459_200_000, 2**63 - 10**6]))
+    # Half the files are clean, so the searches behind exit 0 run as often.
+    kinds = ["point"] if draw(st.booleans()) else ["point"] * 12 + ["bad", "late", "undecodable"]
+    for _ in range(draw(st.integers(0, 12))):
+        value = draw(FUZZ_VALUES)
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "bad":
+                lines.append(draw(st.sampled_from(FUZZ_BAD_ROWS)).encode() + b"\n")
+                continue
+            if kind == "undecodable":
+                lines.append(b"\xff\xfe,1\n")
+                continue
+            t += draw(st.sampled_from([0, 1, 1000]))  # 0: a duplicate stamp
+            stamp = t - 5000 if kind == "late" else t
+            if shape == "single":
+                row = repr(value)
+            elif shape == "ms":
+                row = f"{stamp},{value!r}"
+            else:
+                when = datetime(2021, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=stamp % 10**12)
+                row = f"{when.isoformat(timespec='milliseconds')},{value!r}"
+            lines.append(row.encode() + b"\n")
+    return b"".join(lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # warnings, as in a user's run, not errors
+@settings(max_examples=150, deadline=None)
+@given(
+    data=cli_csv_files(),
+    resolution=st.sampled_from(["4", "7", "800"]),
+    stream_flags=st.sampled_from([[], ["--ratio", "3"], ["--strict"]]),
+)
+def test_no_exception_escapes_the_cli(data, resolution, stream_flags, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, svg = str(folder / "in.csv"), str(folder / "out.svg")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    for argv in (
+        ["smooth", "--input", path, "--resolution", resolution],
+        ["smooth", "--input", path, "--resolution", resolution, "--zscore"],
+        ["stream", "--input", path, "--resolution", resolution, "--refresh", "1", *stream_flags],
+        ["bench", "--input", path, "--resolution", resolution],
+        ["plot", "--input", path, "--out", svg, "--resolution", resolution],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT), (argv, err.getvalue())

@@ -645,6 +645,23 @@ def test_a_regular_file_reaches_numpy_by_its_path(tmp_path, monkeypatch, loadtxt
     assert loadtxt_sources == [(str(tmp_path / "plain.csv"), skip)]
 
 
+@pytest.mark.parametrize("text", [
+    "timestamp,value\n7,0.5\n8,0.25\n",
+    "2021-01-01T00:00:00Z,1\n2021-01-01T00:00:01.5Z,2\n",
+    "2021-01-01T00:00:00,1\n2021-01-01 00:00:01,2\n",  # mixed stamp shapes: the line parser's
+])
+def test_a_path_like_reads_as_its_name_does(tmp_path, loadtxt_sources, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    by_name = read_series(str(path))
+    name_calls = list(loadtxt_sources)
+    by_path = read_series(path)
+    assert name_calls == [(str(path), 0 if text[0].isdigit() else 1)]
+    assert loadtxt_sources[len(name_calls):] == name_calls  # numpy got the name, and read in blocks
+    for got, want in ((by_path.timestamps, by_name.timestamps), (by_path.values, by_name.values)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_a_header_that_is_not_utf8_keeps_the_file_on_numpy(tmp_path, monkeypatch, loadtxt_sources):
     # numpy decodes a path strictly, the header it skips too.
     path = tmp_path / "cp1252.csv"

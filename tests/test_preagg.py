@@ -26,6 +26,26 @@ def test_ratio_validation():
         point_to_pixel_ratio(100, 0)
 
 
+def test_a_ratio_that_is_not_an_integer_fails_at_entry(monkeypatch):
+    # Each call below would otherwise fail a bound (ValueError) or, for
+    # preaggregate(s, 1.0), return s unchanged; no prefix sum is built first.
+    monkeypatch.setattr("asap.preagg._prefix_sums", None)
+    s = Series.from_values(np.arange(10.0))
+    for call in (lambda: point_to_pixel_ratio(2000.0, 800), lambda: point_to_pixel_ratio(0, 0.0),
+                 lambda: preaggregate(s, 1.0), lambda: preaggregate(s, 0.0), lambda: preaggregate(s, "2")):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_numpy_integer_ratios_act_as_python_ints():
+    ratio = point_to_pixel_ratio(np.int64(2000), np.int32(800))
+    assert type(ratio) is int and ratio == 2
+    s = Series.from_values(np.arange(10.0))
+    assert preaggregate(s, np.uint8(1)) is s
+    got, want = preaggregate(s, np.int64(3)), preaggregate(s, 3)
+    assert got.timestamps.tolist() == want.timestamps.tolist() and got.values.tolist() == want.values.tolist()
+
+
 def test_preaggregate_groups_disjoint_means():
     s = Series(10 * np.arange(4), [1.0, 2.0, 3.0, 4.0])
     out = preaggregate(s, 2)

@@ -387,6 +387,17 @@ def test_a_cap_or_prior_window_that_is_not_an_integer_fails_at_entry():
     assert (got.window, got.candidates_evaluated) == (want.window, want.candidates_evaluated)
 
 
+def test_a_grid_step_that_is_not_an_integer_fails_at_entry():
+    # Two points are too few to search (a ValueError), and step 0.0 is out of
+    # bounds: the step is checked before either.
+    for bad in (2.0, 0.0, "2"):
+        with pytest.raises(TypeError):
+            grid_search(Series.from_values([1.0, 2.0]), bad)
+    s = noisy_sine(4000, period=50, noise=0.5, seed=11)
+    want, got = grid_search(s, 10), grid_search(s, np.int64(10))
+    assert (got.window, got.candidates_evaluated) == (want.window, want.candidates_evaluated)
+
+
 def test_acf_horizon_is_one_lag_past_the_cap():
     assert acf_horizon(1200) == 121
     assert acf_horizon(1200, 40) == 41

@@ -30,6 +30,23 @@ def test_sma_parameter_validation():
         smooth_series(Series.from_values(x), 5)
 
 
+def test_a_window_that_is_not_an_integer_fails_at_entry():
+    # Values that np.asarray cannot read and windows out of range: the
+    # window is checked before either.
+    for bad in (2.0, 0.0, 9.5, "2"):
+        with pytest.raises(TypeError):
+            sma(["x"], bad)
+        with pytest.raises(TypeError):
+            smooth_series(Series.from_values([1.0, 2.0, 3.0, 4.0]), bad)
+
+
+def test_numpy_integer_windows_act_as_python_ints():
+    x = [1.0, 2.0, 4.0, 8.0]
+    assert sma(x, np.int64(2)).tolist() == sma(x, 2).tolist() == [1.5, 3.0, 6.0]
+    got = smooth_series(Series.from_values(x), np.uint8(3))
+    assert got.timestamps.tolist() == [0, 1] and got.values.tolist() == sma(x, 3).tolist()
+
+
 def test_sma_matches_loop_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
