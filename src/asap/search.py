@@ -6,12 +6,12 @@ shifts survive smoothing. Every strategy runs in the same frame (_run),
 which builds one SearchState per search, and evaluates candidate windows
 through it (SearchState.try_window); they differ only in which windows they
 visit. An evaluation measures kurtosis first and roughness only when the
-window is feasible, and the result reuses the winner's evaluation instead
-of smoothing it again. find_window gets there cheaply by walking a caller's
-prior window, then autocorrelation peak lags from largest to smallest, with
-two pruning rules, then binary-searching the remaining gap;
-exhaustive_search is the slow reference that scans every window and is used
-as the oracle in tests.
+window is feasible. The state records every window it measures, so no search
+smooths a window twice, and the result reuses the winner's evaluation.
+find_window gets there cheaply by walking a caller's prior window, then
+autocorrelation peak lags from largest to smallest, with two pruning rules,
+then binary-searching the remaining gap; exhaustive_search is the slow
+reference that scans every window and is used as the oracle in tests.
 
 Pruning rules, both derived from the closed-form roughness estimate for a
 window w over an N-point series with std sigma:
@@ -66,24 +66,23 @@ def acf_horizon(n: int, max_window: int | None = None) -> int:
     return min(n - 1, window_cap(n, max_window) + 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchState:
     """One search, internal to it: its inputs (target, the series' kurtosis,
-    and prefix, its values' _prefix_sums), best window and pruning bound.
+    and prefix, its values' _prefix_sums), its record and best window.
 
-    Once the search keeps a window, roughness, kurtosis and smoothed hold its
-    evaluation (smoothed is None before). They follow from the window and
-    the inputs, so only the window and its progress take part in comparisons.
+    measured maps each window the search has smoothed, in visit order, to
+    whether it was feasible. Once the search keeps a window, roughness,
+    kurtosis and smoothed hold its evaluation (smoothed is None before).
     """
 
     window: int = 1
     roughness: float = math.inf
-    lower_bound: float = 1.0
-    evaluations: int = 0
-    kurtosis: float = field(default=math.nan, compare=False)
-    smoothed: np.ndarray | None = field(default=None, compare=False)
-    target: float = field(default=math.nan, compare=False)
-    prefix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    kurtosis: float = math.nan
+    smoothed: np.ndarray | None = None
+    target: float = math.nan
+    prefix: np.ndarray | None = field(default=None, repr=False)
+    measured: dict[int, bool] = field(default_factory=dict)
 
     def try_window(self, w: int) -> tuple[bool, bool]:
         """Evaluate window w and return (feasible, kept).
@@ -91,15 +90,16 @@ class SearchState:
         Feasible: the smoothed kurtosis is at least target. Kept: feasible
         and smoother than the best so far, which w then becomes, with its
         measurements. A window that smooths the series flat has NaN kurtosis,
-        so it is neither. Roughness is measured only for a feasible window;
-        the kept window is not measured, nor counted as evaluated, again.
+        so it is neither. Roughness is measured only for a feasible window.
+        A window already measured is answered from the record, not smoothed
+        again: the best roughness only falls, so it cannot be kept anew.
         """
-        if w == self.window and self.smoothed is not None:
-            return True, False
+        if w in self.measured:
+            return self.measured[w], False
         y = _sma_from_prefix(self.prefix, w)
-        self.evaluations += 1
         k = kurtosis(y)
-        if not k >= self.target:
+        feasible = self.measured[w] = k >= self.target
+        if not feasible:
             return False, False
         r = roughness(y)
         if not r < self.roughness:
@@ -144,13 +144,14 @@ def is_rougher_estimate(w: int, acf_w: float, best_w: int, acf_best: float) -> b
     return math.sqrt(max(0.0, 1.0 - acf_w)) / w > math.sqrt(max(0.0, 1.0 - acf_best)) / best_w
 
 
-def search_periodic(state: SearchState, profile: AcfProfile, first: tuple[int, ...] = ()) -> None:
+def search_periodic(state: SearchState, profile: AcfProfile, first: tuple[int, ...] = ()) -> float:
     """Walk the windows in `first`, then ACF peak lags from largest to
     smallest, pruning as we go; each kept window raises the lower bound the
-    walk stops at."""
+    walk stops at, which is returned (1.0 if none was kept)."""
     corr = profile.correlations
+    lower_bound = 1.0
     for w in (*first, *reversed(profile.peaks)):
-        if w < state.lower_bound:
+        if w < lower_bound:
             break  # the peaks descend; every one left is smaller still
         best = state.window
         if math.isfinite(state.roughness) and is_rougher_estimate(
@@ -158,9 +159,8 @@ def search_periodic(state: SearchState, profile: AcfProfile, first: tuple[int, .
         ):
             continue  # estimated rougher than the best feasible window so far
         if state.try_window(w)[1]:
-            state.lower_bound = update_lower_bound(
-                state.lower_bound, w, float(corr[w]), profile.max_acf
-            )
+            lower_bound = update_lower_bound(lower_bound, w, float(corr[w]), profile.max_acf)
+    return lower_bound
 
 
 def binary_search(state: SearchState, head: int, tail: int) -> None:
@@ -207,7 +207,7 @@ def _run(series: Series, search) -> SmoothResult:
         smoothed=smoothed,
         roughness=r,
         kurtosis=k,
-        candidates_evaluated=max(1, state.evaluations),
+        candidates_evaluated=max(1, len(state.measured)),
     )
 
 
@@ -231,10 +231,10 @@ def find_window(
 
     def search(state):
         acf = find_peaks(autocorrelation(series.values, acf_horizon(len(series), max_window)))
-        search_periodic(state, acf, first)
+        lower_bound = search_periodic(state, acf, first)
         if not acf.peaks:
             return binary_search(state, 1, max_window)
-        head = max(math.ceil(state.lower_bound), state.window + 1)
+        head = max(math.ceil(lower_bound), state.window + 1)
         # Peaks stop one lag short of the horizon, so none lies above the cap.
         above = next((p for p in acf.peaks if p > state.window), max_window)
         binary_search(state, head, above)

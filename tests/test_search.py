@@ -92,7 +92,7 @@ def test_search_periodic_matches_unpruned_peak_scan():
         assert profile.peaks, "fixture must have visible periodicity"
 
         state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
-        search_periodic(state, profile)
+        bound = search_periodic(state, profile)
 
         # Oracle: evaluate every peak with no pruning at all.
         target = kurtosis(x)
@@ -108,7 +108,10 @@ def test_search_periodic_matches_unpruned_peak_scan():
 
         assert state.window == best_w
         assert state.roughness == pytest.approx(best_r, rel=1e-12)
-        assert state.evaluations <= len(profile.peaks)
+        assert len(state.measured) <= len(profile.peaks)
+        # The kept window raised the bound, and no kept peak lies below it.
+        w = state.window
+        assert update_lower_bound(1.0, w, float(profile.correlations[w]), profile.max_acf) <= bound <= w
 
 
 def test_search_periodic_rejects_kurtosis_violations():
@@ -120,7 +123,7 @@ def test_search_periodic_rejects_kurtosis_violations():
     assert profile.peaks
 
     state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
-    search_periodic(state, profile)
+    assert search_periodic(state, profile) == 1.0
     assert state.window == 1
     assert math.isinf(state.roughness)
 
@@ -129,22 +132,38 @@ def test_search_periodic_no_peaks_is_noop():
     x = np.random.default_rng(9).normal(size=500)
     profile = AcfProfile(autocorrelation(x, 50), (), 0.0)
     state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
-    search_periodic(state, profile)
-    assert state.window == 1 and state.evaluations == 0
+    assert search_periodic(state, profile) == 1.0
+    assert state.window == 1 and len(state.measured) == 0
+
+
+def test_a_measured_window_is_answered_from_the_record(monkeypatch):
+    # One window of each outcome: infeasible, kept, feasible but rougher.
+    # Asked again, each returns its feasibility, unkept, with no smoothing.
+    x = GENERATORS["sine"](200, 0).values
+    state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
+    windows = (2, 16, 9)
+    assert [state.try_window(w) for w in windows] == [(False, False), (True, True), (True, False)]
+    smoothed = []
+    real = asap.search._sma_from_prefix
+    monkeypatch.setattr(asap.search, "_sma_from_prefix", lambda p, w: smoothed.append(w) or real(p, w))
+    again = [state.try_window(w) for w in (*windows, 16)]
+    assert again == [(False, False), (True, False), (True, False), (True, False)]
+    assert smoothed == [] and state.window == 16
+    assert state.measured == {2: False, 16: True, 9: True} and list(state.measured) == list(windows)
 
 
 def test_binary_search_empty_range_is_noop():
     x = np.random.default_rng(10).normal(size=100)
     state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
     binary_search(state, 5, 4)
-    assert state.window == 1 and state.evaluations == 0
+    assert state.window == 1 and len(state.measured) == 0
 
 
 def test_binary_search_single_candidate():
     x = np.random.default_rng(10).uniform(size=400)
     state = SearchState(target=kurtosis(x), prefix=_prefix_sums(x))
     binary_search(state, 7, 7)
-    assert state.evaluations == 1
+    assert len(state.measured) == 1
     assert state.window in (1, 7)
 
 
@@ -156,7 +175,7 @@ def test_binary_search_walks_right_when_everything_is_feasible():
     binary_search(state, 1, 500)
     assert state.window == 500
     assert state.roughness == pytest.approx(roughness(sma(x, 500)), rel=1e-12)
-    assert state.evaluations <= math.ceil(math.log2(500)) + 2
+    assert len(state.measured) <= math.ceil(math.log2(500)) + 2
 
 
 def test_binary_search_collapses_when_nothing_is_feasible():
@@ -167,7 +186,7 @@ def test_binary_search_collapses_when_nothing_is_feasible():
     # Every probe above 1 violates the constraint; the floor window remains.
     assert state.window == 1
     assert state.roughness == pytest.approx(roughness(x), rel=1e-12)
-    assert state.evaluations <= math.ceil(math.log2(200)) + 2
+    assert len(state.measured) <= math.ceil(math.log2(200)) + 2
 
 
 def test_find_window_matches_exhaustive_scan():
@@ -296,9 +315,10 @@ def test_a_scan_measures_roughness_only_for_feasible_windows(monkeypatch, shape,
 )
 def test_candidates_evaluated_counts_the_windows_a_search_smooths(shape, n, seed, cap, prior, step):
     # Every strategy counts a window exactly when it smooths the series for
-    # it, and measures the kurtosis of each such smoothing plus the input's
-    # (the target). A constant series smooths nothing, reports 1 and builds
-    # no prefix sums; only the target is measured.
+    # it, smooths no window twice (a prior window the walk or the fallback
+    # reaches again included), and measures the kurtosis of each smoothing
+    # plus the input's (the target). A constant series smooths nothing,
+    # reports 1 and builds no prefix sums; only the target is measured.
     s = Series.from_values(np.full(n, 2.5)) if shape == "constant" else GENERATORS[shape](n, seed)
     searches = {
         "find_window": lambda: find_window(s, max_window=cap, prior_window=prior),
@@ -308,12 +328,15 @@ def test_candidates_evaluated_counts_the_windows_a_search_smooths(shape, n, seed
     }
     for label, search in searches.items():
         calls = {"_prefix_sums": 0, "_sma_from_prefix": 0, "kurtosis": 0}
+        windows = []
         with pytest.MonkeyPatch.context() as mp:
             for name in calls:
                 real = getattr(asap.search, name)
 
                 def counted(*args, name=name, real=real):
                     calls[name] += 1
+                    if name == "_sma_from_prefix":
+                        windows.append(args[1])
                     return real(*args)
 
                 mp.setattr(asap.search, name, counted)
@@ -322,7 +345,8 @@ def test_candidates_evaluated_counts_the_windows_a_search_smooths(shape, n, seed
             assert (res.candidates_evaluated, calls) == (1, {"_prefix_sums": 0, "_sma_from_prefix": 0, "kurtosis": 1}), label
         else:
             smoothed = calls["_sma_from_prefix"]
-            assert res.candidates_evaluated == smoothed, label
+            assert len(set(windows)) == smoothed, (label, windows)
+            assert res.candidates_evaluated == max(1, smoothed), label
             assert calls == {"_prefix_sums": 1, "_sma_from_prefix": smoothed, "kurtosis": smoothed + 1}, label
 
 

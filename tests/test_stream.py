@@ -523,6 +523,8 @@ def test_infeasible_prior_window_falls_back_to_cold_start():
 def test_a_prior_window_that_smooths_the_panes_flat_gives_the_cold_answer():
     # Window 4 smooths a period-4 pattern to a constant: NaN kurtosis, which
     # fails the constraint, so the search evaluates the seed and drops it.
+    # The cold search smooths window 4 too; the seeded one answers it from
+    # its record when it comes round again, so both count the same windows.
     st = StreamState(pane_span=1, capacity=40, refresh_interval=10_000)
     for i, v in enumerate(np.tile([1.0, 2.0, 3.0, 4.0], 10).tolist()):
         st.ingest(i, v)
@@ -533,7 +535,7 @@ def test_a_prior_window_that_smooths_the_panes_flat_gives_the_cold_answer():
     assert math.isnan(kurtosis(sma(agg.values, 4)))
     cold = find_window(agg)
     warm = find_window(agg, prior_window=st.check_last_window().window)
-    assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated + 1)
+    assert (warm.window, warm.candidates_evaluated) == (cold.window, cold.candidates_evaluated) == (2, 3)
     assert warm.roughness.hex() == cold.roughness.hex()
 
 
