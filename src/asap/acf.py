@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+MIN_POINTS = 4  # the shortest series the ACF, and so any search and stream refresh, runs on
 MIN_PEAK_LAG = 2
 PEAK_THRESHOLD = 0.2
 
@@ -58,8 +59,8 @@ def autocorrelation(values, max_lag: int) -> np.ndarray:
     i >= L - t, and each such x[i] is padding when L >= N + t."""
     x = np.asarray(values, dtype=np.float64)
     n = x.size
-    if n < 4:
-        raise ValueError("need at least 4 points for autocorrelation")
+    if n < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} points for autocorrelation")
     if not 1 <= max_lag < n:
         raise ValueError(f"max_lag must be in [1, {n - 1}], got {max_lag}")
     # np.add.reduce(x) / n is x.mean()'s own float64 reduction, bit for bit,

@@ -6,20 +6,18 @@ epoch milliseconds or the ISO-8601 stamps `ISO_STAMP` defines; the format is
 detected once per file from the first data row.
 
 `iter_rows` is the definition of that format and words every error.
-`read_series` first hands a plain file (see `_load_plain`) to numpy's C
-loader and keeps its arrays only when they are what `iter_rows` would give;
-anything else goes through `iter_rows`. numpy reads a file named by a path
-in blocks and an open stream line by line, so a path reaches it as a path
-unless the file is a pipe or FIFO (read once, by `iter_rows`), or its name
-ends in a suffix numpy would decompress by or its header is not UTF-8 (read
-as a stream). Both parsers read ISO stamps by `ISO_STAMP` and `_epoch_ms`.
+`read_series` hands a regular file's name (see `_load_plain`) to numpy's C
+loader, which reads it in blocks, and keeps its arrays only when they are
+what `iter_rows` would give. Anything else goes through `iter_rows`: an open
+stream, a pipe or FIFO (read once), a name ending in a suffix numpy would
+decompress by, and a file numpy refuses, such as one whose header is not
+UTF-8. Both parsers read ISO stamps by `ISO_STAMP` and `_epoch_ms`.
 """
 from __future__ import annotations
 
 import os
 import re
 import warnings
-from contextlib import nullcontext
 from functools import lru_cache
 from itertools import chain
 from math import isfinite
@@ -46,7 +44,7 @@ PLAIN_DTYPES = {
 
 # The file name suffixes by which np.loadtxt decompresses a path it is given
 # (numpy.lib._datasource, which matches them case-sensitively): a file so
-# named goes to numpy as an open stream, read as the text it holds.
+# named goes to the line parser, which reads the text it holds.
 COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 # The characters str.strip takes for whitespace where int() and float() do
@@ -218,50 +216,43 @@ def count_rows(lines: Iterable[str]) -> int:
     return 1 + sum(1 for line in lines if line.strip())
 
 
-def _load_plain(fh: TextIO, path: str | None) -> Series | None:
-    """The file from the current position through one `np.loadtxt` call, or
-    None to leave it to the line parser. `fh` is seekable; `path` is the name
-    it was opened by, or None for a stream the caller opened.
+def _load_plain(fh: TextIO, path: str) -> Series | None:
+    """The file `path` names through one `np.loadtxt` call, or None to leave
+    it to the line parser. `fh` is the seekable handle `path` was opened by,
+    at its start.
 
     Taken only for a plain shape: no byte-order mark, at most one line before
     the first data row (a header, which `_detect_mode` rejects), and a first
-    data row of integer-ms, value-only or ISO form. numpy gets `path`, which
-    it opens and reads in blocks, unless the name ends in a suffix it would
-    decompress by (`COMPRESSED`) or the header is not UTF-8; otherwise it
-    gets `fh`, which it iterates one Python string per line. Kept only when
-    numpy raises and warns nothing (numpy 1.x warns when it truncates `5.0`
-    into an int; numpy decodes a path as strict UTF-8), `_iso_series` takes
-    an ISO file, `Series` accepts the arrays and the text numpy read holds no
-    NUL or U+001C-U+001F: then `iter_rows` reads the same rows."""
-    header = ""
+    data row of integer-ms, value-only or ISO form; and not for a name ending
+    in a suffix numpy would decompress by (`COMPRESSED`). numpy gets the
+    absolute path as a `str`, which it opens and reads in blocks. Kept only
+    when numpy raises and warns nothing (numpy 1.x warns when it truncates
+    `5.0` into an int; numpy decodes strictly as UTF-8, the header it skips
+    too, so a cp1252 export's header raises `UnicodeDecodeError`, a
+    `ValueError`), `_iso_series` takes an ISO file, `Series` accepts the
+    arrays and the file, read again through `fh`, holds no NUL or
+    U+001C-U+001F: then `iter_rows` reads the same rows."""
+    if path.endswith(COMPRESSED):
+        return None
     for skip in range(2):
-        start = fh.tell()
         line = fh.readline()
         if line.startswith("\ufeff"):
             return None
         mode = _detect_mode(line.strip().split(","))
         if mode is not None:
             break
-        header = line
     if mode not in PLAIN_DTYPES:
         return None
-    # numpy decodes the header it skips as strict UTF-8, so a header holding
-    # a byte `DECODING` escaped (a cp1252 export's, say) would fail it; and it
-    # reads a `scheme://host/...` string as a URL, which an absolute path
-    # never is. A relative one is joined to the working directory, not
+    # numpy reads a `scheme://host/...` string as a URL, which an absolute
+    # path never is. A relative one is joined to the working directory, not
     # normalised: `link/../x` names what the kernel finds through the link.
-    utf8_header = not any("\udc80" <= c <= "\udcff" for c in header)
-    if path is not None and not path.endswith(COMPRESSED) and utf8_header:
-        source = path if os.path.isabs(path) else os.path.join(os.getcwd(), path)
-        start = 0
-    else:
-        source, skip = fh, 0
-        fh.seek(start)  # the table holds the data row just read, so it is never empty
+    if not os.path.isabs(path):
+        path = os.path.join(os.getcwd(), path)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(
-                source, dtype=PLAIN_DTYPES[mode], delimiter=",", comments=None, skiprows=skip, encoding="utf-8",
+                path, dtype=PLAIN_DTYPES[mode], delimiter=",", comments=None, skiprows=skip, encoding="utf-8",
                 ndmin=1,
             )
         if mode[0] == "single":
@@ -272,7 +263,7 @@ def _load_plain(fh: TextIO, path: str | None) -> Series | None:
         return None
     # np.loadtxt drops trailing NULs from a bytes field and strips U+001C-U+001F
     # around a number, where int() and float() refuse them.
-    fh.seek(start)
+    fh.seek(0)
     for chunk in iter(lambda: fh.read(1 << 20), ""):
         if any(c in chunk for c in "\x00" + SEPARATORS):
             return None
@@ -315,18 +306,20 @@ def _iso_series(table: np.ndarray) -> Series:
     return Series(ms, table["v"])
 
 
-def read_series(source: str | os.PathLike | TextIO) -> Series:
-    """Parse a whole CSV file (path, `pathlib.Path` or other path-like, or
-    open text stream) into a Series."""
-    path = os.fsdecode(source) if isinstance(source, (str, os.PathLike)) else None
-    with open(path, **DECODING) if path is not None else nullcontext(source) as fh:
+def read_series(source: str | bytes | os.PathLike | TextIO) -> Series:
+    """Parse a whole CSV file (path as `str` or `bytes`, `pathlib.Path` or
+    other path-like, or open text stream) into a Series. A stream is read by
+    the line parser from its current position."""
+    if not isinstance(source, (str, bytes, os.PathLike)):
+        return _parse_lines(source)
+    path = os.fsdecode(source)
+    with open(path, **DECODING) as fh:
         # A pipe or FIFO is read once, by the line parser.
         if fh.seekable():
-            start = fh.tell()
             series = _load_plain(fh, path)
             if series is not None:
                 return series
-            fh.seek(start)
+            fh.seek(0)
         return _parse_lines(fh)
 
 

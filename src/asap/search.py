@@ -33,13 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import AcfProfile, autocorrelation, find_peaks
+from .acf import MIN_POINTS, AcfProfile, autocorrelation, find_peaks
 from .metrics import kurtosis, roughness
 from .series import Series
 from .smoothing import _prefix_sums, _sma_from_prefix
 from .smoothing import smooth_series  # not called here: the benchmark's tracer wraps it
-
-MIN_POINTS = 4  # the shortest series any search (and so any stream refresh) runs on
 
 
 def window_cap(n: int, max_window: int | None = None) -> int:

@@ -23,9 +23,10 @@ from asap.generators import (
     uniform,
 )
 from asap.metrics import kurtosis, population_std, roughness
-from asap.preagg import preaggregate
+from asap.preagg import point_to_pixel_ratio, preaggregate
 from asap.search import estimate_roughness, exhaustive_search, find_window
-from asap.smoothing import sma
+from asap.series import Series
+from asap.smoothing import sma, smooth_series
 from asap.stream import StreamState
 
 RESOLUTION = 1200
@@ -331,3 +332,98 @@ def test_criterion_11_stream_refresh_equals_batch_answer(capsys):
         f"the batch answer {batch.window}",
     )
     assert ok, (got, batch.window)
+
+
+def level_shift(n: int, seed: int, height: float, width: int) -> Series:
+    """Standard normal noise with a step of `height` over `width` points,
+    centred at 60% of the span: a long-term deviation of the kind the paper's
+    users were asked to find. Kept out of `asap.generators.GENERATORS`, which
+    the search tests and `asap bench --gen` iterate over."""
+    values = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    start = int(0.6 * n) - width // 2
+    values[start : start + width] += height
+    return Series.from_values(values)
+
+
+# Deviation cases: (background, height, width as a share of the span).
+# "sine" adds a unit sine of 40 periods over the span to the noise.
+DEVIATION_CASES = [
+    (background, height, share)
+    for background in ("noise", "sine")
+    for height in (0.5, 1.0, 2.0)
+    for share in (0.01, 0.05)
+]
+DEVIATION_POINTS = 40_000
+DEVIATION_SEEDS = range(5)
+
+
+def _shift_score(pixels: Series, window: int, first: int, end: int, ratio: int) -> tuple[float, bool, float]:
+    """(prominence, on top, peak offset in px) of the raw points [first, end)
+    in the line `window` draws over `pixels`, means of `ratio` points each.
+    Prominence is the line's highest point among the averages that touch the
+    shift, less the median elsewhere, over the std elsewhere. The shift is on
+    top when that rise beats every other point's distance from the median.
+    The offset is from where that highest point is drawn to the shift's
+    centre, in pixels."""
+    line = smooth_series(pixels, window)
+    low = max(0, first // ratio - window + 1)
+    high = min(len(line), -(-end // ratio))
+    touching = line.values[low:high]
+    elsewhere = np.concatenate([line.values[:low], line.values[high:]])
+    median = float(np.median(elsewhere))
+    rise = float(touching.max()) - median
+    peak = low + int(np.argmax(touching))
+    offset = abs(int(line.timestamps[peak]) - (first + end) / 2) / ratio
+    return rise / float(np.std(elsewhere)), rise > float(np.abs(elsewhere - median).max()), offset
+
+
+def deviation_scorecard(resolution: int) -> list[tuple[tuple, dict[str, tuple[int, float, bool, float]]]]:
+    """For each case and seed, {"asap" | "exhaustive" | "raw": (window,
+    prominence, on top, peak offset in px)} of the line `asap smooth` would
+    draw at `resolution` pixels."""
+    ratio = point_to_pixel_ratio(DEVIATION_POINTS, resolution)
+    rows = []
+    for background, height, share in DEVIATION_CASES:
+        width = round(share * DEVIATION_POINTS)
+        first = int(0.6 * DEVIATION_POINTS) - width // 2
+        for seed in DEVIATION_SEEDS:
+            raw = level_shift(DEVIATION_POINTS, seed, height, width)
+            if background == "sine":
+                phase = 2 * np.pi * 40 * raw.timestamps / DEVIATION_POINTS
+                raw = Series(raw.timestamps, raw.values + np.sin(phase))
+            pixels = preaggregate(raw, ratio)
+            windows = {"asap": find_window(pixels).window, "exhaustive": exhaustive_search(pixels).window, "raw": 1}
+            scores = {
+                name: (window, *_shift_score(pixels, window, first, first + width, ratio))
+                for name, window in windows.items()
+            }
+            rows.append(((background, height, share, seed), scores))
+    return rows
+
+
+def scorecard_line(rows) -> str:
+    """Per line kind: median prominence, cases with the shift on top, and
+    median peak offset."""
+    parts = []
+    for name in ("asap", "exhaustive", "raw"):
+        scores = [row[name] for _, row in rows]
+        parts.append(
+            f"{name} prominence {statistics.median(s[1] for s in scores):.2f}, "
+            f"on top {sum(s[2] for s in scores)}/{len(scores)}, "
+            f"peak {statistics.median(s[3] for s in scores):.1f} px off"
+        )
+    return "; ".join(parts)
+
+
+def test_criterion_12_level_shifts_stay_visible(capsys):
+    rows = deviation_scorecard(800)
+    below = [(case, row["asap"][1] / row["raw"][1]) for case, row in rows if row["asap"][1] < row["raw"][1]]
+    wide_below = [(case, ratio) for case, ratio in below if case[2] == 0.05]
+    ok = not wide_below
+    narrow = ", ".join(f"{b} h={h} seed {seed} {ratio:.2f}x" for (b, h, _, seed), ratio in below)
+    _report(
+        capsys, 12, ok,
+        f"{len(rows)} level shifts at 800 px: {scorecard_line(rows)}; "
+        f"asap below raw on {len(below)} (none 5% wide allowed){': ' + narrow if narrow else ''}",
+    )
+    assert ok, wide_below

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asap.search
 from _oracles import direct_acf, find_peaks_loop
-from asap.acf import MIN_PEAK_LAG, PEAK_THRESHOLD, AcfProfile, autocorrelation, fft_size, find_peaks
+from asap.acf import MIN_PEAK_LAG, MIN_POINTS, PEAK_THRESHOLD, AcfProfile, autocorrelation, fft_size, find_peaks
+from asap.series import Series
 
 
 def test_lag_zero_is_exactly_one():
@@ -127,8 +129,15 @@ def test_autocorrelation_validation():
         autocorrelation(x, 16)
     with pytest.raises(ValueError):
         autocorrelation(np.full(16, 3.0), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least 4 points for autocorrelation$"):
         autocorrelation(np.arange(3.0), 1)
+
+
+def test_the_acf_and_every_search_share_one_floor():
+    assert asap.search.MIN_POINTS is MIN_POINTS == 4
+    autocorrelation(np.arange(float(MIN_POINTS)), 1)
+    with pytest.raises(ValueError, match=r"^need at least 4 points$"):
+        asap.search.exhaustive_search(Series.from_values(np.arange(float(MIN_POINTS - 1))))
 
 
 def test_find_peaks_strict_interior_maxima():

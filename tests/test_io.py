@@ -523,7 +523,7 @@ def _outcome(read):
 @settings(max_examples=1500, deadline=None)
 @given(text=csv_texts())
 def test_read_series_equals_the_line_parser(text, tmp_path_factory):
-    assert _outcome(lambda: read_series(io.StringIO(text))) == _outcome(lambda: _parse_lines(io.StringIO(text)))
+    # A stream goes to the line parser itself; a file's name goes to numpy.
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with open(path, **DECODING) as fh:
@@ -552,9 +552,9 @@ def test_plain_files_load_without_the_line_parser(tmp_path, monkeypatch, text):
         raise AssertionError("the line parser ran on a plain file")
 
     monkeypatch.setattr(asap.io, "iter_rows", no_line_parser)
-    for got in (read_series(io.StringIO(text)), read_series(str(path))):
-        assert got.timestamps.tolist() == expected.timestamps.tolist()
-        assert got.values.tolist() == expected.values.tolist()
+    got = read_series(str(path))
+    assert got.timestamps.tolist() == expected.timestamps.tolist()
+    assert got.values.tolist() == expected.values.tolist()
 
 
 @pytest.mark.parametrize("text", [
@@ -655,24 +655,25 @@ def test_a_path_like_reads_as_its_name_does(tmp_path, loadtxt_sources, text):
     path.write_text(text)
     by_name = read_series(str(path))
     name_calls = list(loadtxt_sources)
-    by_path = read_series(path)
     assert name_calls == [(str(path), 0 if text[0].isdigit() else 1)]
-    assert loadtxt_sources[len(name_calls):] == name_calls  # numpy got the name, and read in blocks
-    for got, want in ((by_path.timestamps, by_name.timestamps), (by_path.values, by_name.values)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for like in (path, os.fsencode(path)):
+        del loadtxt_sources[:]
+        got = read_series(like)
+        assert loadtxt_sources == name_calls  # numpy got the name, and read in blocks
+        for mine, want in ((got.timestamps, by_name.timestamps), (got.values, by_name.values)):
+            assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
 
 
-def test_a_header_that_is_not_utf8_keeps_the_file_on_numpy(tmp_path, monkeypatch, loadtxt_sources):
-    # numpy decodes a path strictly, the header it skips too.
+def test_a_header_that_is_not_utf8_sends_the_file_to_the_line_parser(tmp_path, loadtxt_sources):
+    # numpy decodes a path strictly, the header it skips too, and raises: the
+    # line parser reads the file, the header's byte escaped by `DECODING`.
     path = tmp_path / "cp1252.csv"
     path.write_bytes("température,valeur\n7,0.5\n8,0.25\n".encode("cp1252"))
-
-    def no_line_parser(lines):
-        raise AssertionError("the line parser ran on a plain file")
-
-    monkeypatch.setattr(asap.io, "iter_rows", no_line_parser)
-    assert read_series(str(path)).values.tolist() == [0.5, 0.25]
-    assert [(type(source), skip) for source, skip in loadtxt_sources] == [(io.TextIOWrapper, 0)]
+    with open(path, **DECODING) as fh:
+        expected = _outcome(lambda: _parse_lines(fh))
+    assert expected == ([7, 8], [(0.5).hex(), (0.25).hex()])
+    assert _outcome(lambda: read_series(str(path))) == expected
+    assert loadtxt_sources == [(str(path), 1)]
 
 
 def test_a_relative_path_shaped_like_a_url_is_read_as_a_file(tmp_path, monkeypatch, loadtxt_sources):
@@ -724,10 +725,17 @@ def test_a_file_removed_after_it_was_opened_is_read_through_the_open_handle(tmp_
     assert not path.exists()
 
 
-def test_an_open_stream_reaches_numpy_as_itself(loadtxt_sources):
-    stream = io.StringIO("timestamp,value\n7,0.5\n8,0.25\n")
-    assert read_series(stream).timestamps.tolist() == [7, 8]
-    assert loadtxt_sources == [(stream, 0)]
+@pytest.mark.parametrize("text", ["timestamp,value\n7,0.5\n8,0.25\n", "0.5\n0.25\n",
+                                  "2021-01-01T00:00:00Z,1\n2021-01-01T00:00:01.5Z,2\n"], ids=["int-ms", "values", "iso"])
+def test_an_open_stream_never_reaches_numpy(tmp_path, loadtxt_sources, text):
+    got = read_series(io.StringIO(text))
+    assert loadtxt_sources == []
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    by_path = read_series(str(path))
+    assert loadtxt_sources == [(str(path), 0 if text[0].isdigit() else 1)]
+    for mine, want in ((got.timestamps, by_path.timestamps), (got.values, by_path.values)):
+        assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
 
 
 def test_every_suffix_numpy_decompresses_is_guarded():
@@ -742,7 +750,7 @@ def test_a_plain_file_named_like_a_compressed_one_is_read_as_text(tmp_path, load
     path = tmp_path / f"data.csv{suffix}"
     path.write_text(text)
     assert _outcome(lambda: read_series(str(path))) == _outcome(lambda: _parse_lines(io.StringIO(text)))
-    assert all(not isinstance(source, str) for source, _ in loadtxt_sources)
+    assert loadtxt_sources == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
